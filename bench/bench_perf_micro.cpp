@@ -140,8 +140,9 @@ void BM_PipelineProfilerOverhead(benchmark::State& state) {
     sc.sample_interval = 0;
     sc.trace_sample_every = ~0ULL;
     sc.spans_enabled = false;
-    sc.profiler_enabled = profiled;
+    obs::profiler().enable(profiled);
     const auto r = testbed::run_experiment(sc);
+    obs::profiler().enable(false);
     benchmark::DoNotOptimize(r.report.perf.profiled);
   }
   state.SetItemsProcessed(state.iterations() * 2000);

@@ -61,9 +61,11 @@ void run_recovery_scan(bench::BenchContext& ctx) {
     for (int rep = 0; rep < reps; ++rep) {
       sc.seed = 70001 + static_cast<std::uint64_t>(rep) * 7919;
       const auto r = testbed::run_experiment(sc);
-      flushes.push_back(static_cast<double>(r.log_flushes));
-      recovered.push_back(static_cast<double>(r.records_recovered));
-      discarded.push_back(static_cast<double>(r.records_discarded));
+      flushes.push_back(r.report.metric("kafka_broker_log_flushes_total"));
+      recovered.push_back(
+          r.report.metric("kafka_broker_records_recovered_total"));
+      discarded.push_back(
+          r.report.metric("kafka_broker_records_discarded_total"));
       acked_lost.push_back(static_cast<double>(r.acked_lost) /
                            static_cast<double>(n));
       thru.push_back(r.duration_s > 0

@@ -44,22 +44,26 @@ int main(int argc, char** argv) {
               (unsigned long long)r.cases.cases[3],
               (unsigned long long)r.cases.cases[4],
               (unsigned long long)r.cases.cases[5]);
-  std::printf("producer: overruns=%llu expired=%llu resets=%llu retried=%llu req_timeouts=%llu\n",
-              (unsigned long long)r.source_overruns,
-              (unsigned long long)r.expired_in_queue,
-              (unsigned long long)r.connection_resets,
-              (unsigned long long)r.requests_retried,
-              (unsigned long long)r.request_timeouts);
+  const auto m = [&r](const char* name) { return r.report.metric(name); };
+  std::printf("producer: overruns=%.0f expired=%.0f resets=%.0f retried=%.0f req_timeouts=%.0f\n",
+              m("kafka_source_overruns_total"),
+              m("kafka_producer_records_expired_total"),
+              m("kafka_producer_connection_resets_total"),
+              m("kafka_producer_batches_retried_total"),
+              m("kafka_producer_request_timeouts_total"));
   std::printf("perf: mu=%.0f/s phi=%.4f thru=%.0f/s latency mean=%.0fms p99=%.0fms stale=%.2f%%\n",
               r.service_rate_mu, r.bandwidth_utilization_phi,
               r.delivered_throughput, r.mean_latency_ms, r.p99_latency_ms,
               r.stale_fraction * 100);
-  std::printf("tcp: segs=%llu retx=%llu rtos=%llu | link: lost=%llu qdrop=%llu\n",
-              (unsigned long long)r.tcp_segments_sent,
-              (unsigned long long)r.tcp_retransmissions,
-              (unsigned long long)r.tcp_rto_events,
-              (unsigned long long)r.link_packets_lost,
-              (unsigned long long)r.link_packets_dropped_queue);
+  // The producer's connection to the leader and the link beneath it.
+  std::printf("tcp: segs=%.0f retx=%.0f rtos=%.0f | link: lost=%.0f qdrop=%.0f\n",
+              m("tcp_segments_sent_total{conn=\"prod0-conn0:client\"}"),
+              m("tcp_retransmissions_total{conn=\"prod0-conn0:client\"}"),
+              m("tcp_rto_events_total{conn=\"prod0-conn0:client\"}"),
+              m("link_packets_dropped_total{link=\"prod0-broker0:a->b\","
+                "cause=\"loss_model\"}"),
+              m("link_packets_dropped_total{link=\"prod0-broker0:a->b\","
+                "cause=\"queue_overflow\"}"));
   std::printf("run: %.1fs sim, %llu events, completed=%d\n", r.duration_s,
               (unsigned long long)r.events, r.completed ? 1 : 0);
   return 0;

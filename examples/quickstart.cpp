@@ -64,10 +64,10 @@ int main(int argc, char** argv) {
               r.service_rate_mu, r.bandwidth_utilization_phi, gamma);
   std::printf("  mean latency %.1f ms, p99 %.1f ms, stale %.2f%%\n",
               r.mean_latency_ms, r.p99_latency_ms, r.stale_fraction * 100);
-  std::printf("  run: %.1f s simulated, %llu events, resets %llu, retries %llu\n",
+  std::printf("  run: %.1f s simulated, %llu events, resets %.0f, retries %.0f\n",
               r.duration_s, static_cast<unsigned long long>(r.events),
-              static_cast<unsigned long long>(r.connection_resets),
-              static_cast<unsigned long long>(r.requests_retried));
+              r.report.metric("kafka_producer_connection_resets_total"),
+              r.report.metric("kafka_producer_batches_retried_total"));
 
   // Structured run artifact: the full metric snapshot (every layer), the
   // sampled time series and the per-message trace, for offline analysis.

@@ -196,20 +196,21 @@ void check_replication(const ChaosScenario& cs,
     out.push_back(
         {"no-acked-loss",
          fmt("%llu acknowledged records missing from the committed log "
-             "despite acks=all, min.insync=2 and clean elections (%llu "
+             "despite acks=all, min.insync=2 and clean elections (%.0f "
              "elections)",
              static_cast<unsigned long long>(result.acked_lost),
-             static_cast<unsigned long long>(result.leader_elections))});
+             result.report.metric("kafka_cluster_elections_total"))});
   }
   if (cs.scenario.unclean_leader_election) return;
   // With unclean elections disabled, every leader comes from the ISR and
   // therefore holds everything ever committed: committed prefixes agree
   // across replicas and the committed offset never moves backwards.
-  if (result.unclean_elections != 0) {
+  if (const double unclean =
+          result.report.metric("kafka_cluster_unclean_elections_total");
+      unclean != 0) {
     out.push_back({"clean-election-only",
-                   fmt("%llu unclean elections with the knob disabled",
-                       static_cast<unsigned long long>(
-                           result.unclean_elections))});
+                   fmt("%.0f unclean elections with the knob disabled",
+                       unclean)});
   }
   if (result.replica_prefix_violations != 0) {
     out.push_back({"replica-prefix-consistency",
@@ -223,12 +224,13 @@ void check_replication(const ChaosScenario& cs,
   // an OS-cache-only suffix (the real Kafka fsync hazard). Only the
   // durable-disk class (fsync-per-append) keeps the promise airtight.
   if (power && !cs.expect_no_acked_loss) return;
-  if (result.committed_regressions != 0) {
+  if (const double regressions =
+          result.report.metric("kafka_cluster_committed_regressions_total");
+      regressions != 0) {
     out.push_back({"hw-monotonicity",
-                   fmt("committed offset regressed %llu times under clean "
+                   fmt("committed offset regressed %.0f times under clean "
                        "elections",
-                       static_cast<unsigned long long>(
-                           result.committed_regressions))});
+                       regressions)});
   }
 }
 
@@ -243,12 +245,12 @@ void check_storage(const ChaosScenario& cs,
     out.push_back(
         {"durable-recovery-prefix",
          fmt("%llu recovery scans disagreed with storage ground truth "
-             "(%llu scans, %llu records recovered, %llu discarded)",
+             "(%.0f scans, %.0f records recovered, %.0f discarded)",
              static_cast<unsigned long long>(
                  result.recovery_prefix_violations),
-             static_cast<unsigned long long>(result.recovery_scans),
-             static_cast<unsigned long long>(result.records_recovered),
-             static_cast<unsigned long long>(result.records_discarded))});
+             result.report.metric("kafka_broker_recovery_scans_total"),
+             result.report.metric("kafka_broker_records_recovered_total"),
+             result.report.metric("kafka_broker_records_discarded_total"))});
   }
   // The durable-disk promise: acks=all + RF=3 + min.insync=2 + clean
   // elections + fsync-per-append must deliver every acked record through

@@ -144,6 +144,8 @@ class Producer {
 
   const ProducerStats& stats() const noexcept { return stats_; }
   const ProducerConfig& config() const noexcept { return config_; }
+  /// The broker connection currently in use (changes on failover).
+  const tcp::Endpoint& connection() const noexcept { return *active_; }
   std::size_t queued_records() const noexcept { return queue_.size(); }
   std::size_t in_flight_requests() const noexcept {
     return in_flight_count_;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdio>
-#include <cstdlib>
 #include <functional>
 
 #include "kpi/perf_model.hpp"
@@ -308,36 +306,17 @@ DynamicRunResult run_dynamic_experiment(
   }
 
   // Online controller: tick on sim time, sample the live connection and
-  // producer, apply what the policy decides. Mirrors the run_experiment
-  // wiring so the bench's online arm measures the same control loop chaos
-  // and the determinism tests exercise.
+  // producer through the same sample_telemetry() as run_experiment, apply
+  // what the policy decides.
   std::function<void()> online_tick = [&] {
     if (producer.finished()) return;  // Drain phase: nothing left to tune.
-    testbed::AdaptiveTelemetry telemetry;
-    const auto& tstats = conn.client.stats();
-    telemetry.segments_sent = tstats.segments_sent;
-    telemetry.data_segments_sent = tstats.data_segments_sent;
-    telemetry.retransmissions = tstats.retransmissions;
-    telemetry.rto_events = tstats.rto_events;
-    telemetry.smoothed_rtt = conn.client.smoothed_rtt();
-    const auto& ps = producer.stats();
-    telemetry.records_acked = ps.records_acked;
-    telemetry.records_retried = ps.requests_retried;
-    telemetry.records_timed_out = ps.records_failed;
-    const auto& live = producer.config();
-    telemetry.batch_size = live.batch_size;
-    telemetry.poll_interval = live.poll_interval;
-    telemetry.message_timeout = live.message_timeout;
-    const auto decision = online->tick(sim.now(), telemetry);
-    if (std::getenv("KS_ONLINE_DEBUG") != nullptr) {
-      std::fprintf(stderr, "[online] t=%.3f %s\n", to_seconds(sim.now()),
-                   decision.note.c_str());
-    }
+    const auto decision = online->tick(
+        sim.now(), testbed::sample_telemetry({&producer}, {&conn.client}));
     if (decision.evaluated) {
       ++result.online_evaluations;
       if (decision.apply) {
         ++result.reconfigurations;
-        producer.reconfigure(decision.batch_size, live.linger,
+        producer.reconfigure(decision.batch_size, producer.config().linger,
                              decision.poll_interval,
                              decision.message_timeout);
       } else {

@@ -2,20 +2,27 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <stdexcept>
 
 #include "obs/json.hpp"
 #include "obs/profiler.hpp"
 
 namespace ks::obs {
 
-double RunReport::metric(const std::string& full_name, double fallback) const {
+double RunReport::metric(const std::string& name) const {
+  const bool labelled = name.find('{') != std::string::npos;
+  double sum = 0.0;
+  bool found = false;
   for (const auto& m : metrics) {
-    if ((m.labels.empty() ? m.name : m.name + '{' + m.labels + '}') ==
-        full_name) {
-      return m.value;
-    }
+    const bool match =
+        labelled ? !m.labels.empty() && m.name + '{' + m.labels + '}' == name
+                 : m.name == name;
+    if (!match) continue;
+    sum += m.value;
+    found = true;
   }
-  return fallback;
+  if (!found) throw std::out_of_range("RunReport: no metric named " + name);
+  return sum;
 }
 
 std::string RunReport::to_json() const { return json_impl(true); }

@@ -166,9 +166,10 @@ struct RunReport {
   /// delivering (commit-before-deliver crash signature).
   std::vector<std::uint64_t> group_lost_keys;
 
-  /// Final value of a metric by full name (`name{labels}` or bare name);
-  /// `fallback` when absent.
-  double metric(const std::string& full_name, double fallback = 0.0) const;
+  /// Final value of a metric: `name{labels}` selects one label set, a bare
+  /// name sums over all of its label sets. Throws std::out_of_range for a
+  /// name no component registered.
+  double metric(const std::string& name) const;
 
   std::string to_json() const;
 

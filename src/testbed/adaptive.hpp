@@ -12,8 +12,16 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/types.hpp"
+
+namespace ks::kafka {
+class Producer;
+}
+namespace ks::tcp {
+class Endpoint;
+}
 
 namespace ks::testbed {
 
@@ -23,7 +31,7 @@ struct Scenario;
 /// are cumulative since the start of the run; the driver keeps its own
 /// sliding window by differencing successive snapshots.
 struct AdaptiveTelemetry {
-  // Transport (producer-side TCP endpoint).
+  // Transport (producer-side TCP endpoints).
   std::uint64_t segments_sent = 0;      ///< All segments, incl. retransmits.
   std::uint64_t data_segments_sent = 0; ///< Payload-carrying segments.
   std::uint64_t retransmissions = 0;    ///< Fast retransmits + RTO resends.
@@ -40,6 +48,15 @@ struct AdaptiveTelemetry {
   Duration poll_interval = 0;
   Duration message_timeout = 0;
 };
+
+/// Snapshot the telemetry for one controller tick. TCP counters are summed
+/// over every producer connection, idle failover connections included, so
+/// they stay monotone for the driver's differencing; SRTT is the largest
+/// among the producers' current connections. Producer counters are summed
+/// over all producers; the live parameters are the first producer's.
+AdaptiveTelemetry sample_telemetry(
+    const std::vector<const kafka::Producer*>& producers,
+    const std::vector<const tcp::Endpoint*>& connections);
 
 /// What the policy decided on one tick. `evaluated` is false while the
 /// estimator is still confidence-gated (not enough samples) or the

@@ -6,6 +6,11 @@
 // cluster, a producer connected to the leader through an impaired link,
 // runs to completion and reports the reliability metrics plus the
 // performance inputs of the weighted KPI.
+//
+// Component counters (producer retries, elections, recovery scans, TCP
+// segments, ...) live only in the metrics registry: read them from
+// `report.metrics` or through `report.metric(name)`. This struct and
+// `report.summary` hold only what the testbed itself computes.
 #pragma once
 
 #include <cstdint>
@@ -13,7 +18,6 @@
 
 #include "common/types.hpp"
 #include "kafka/cluster.hpp"
-#include "kafka/producer.hpp"
 #include "kafka/state_machine.hpp"
 #include "obs/report.hpp"
 #include "testbed/scenario.hpp"
@@ -21,8 +25,6 @@
 namespace ks::testbed {
 
 struct ExperimentResult {
-  Scenario scenario;
-
   // Reliability metrics (the paper's P_l and P_d), from the key census.
   double p_loss = 0.0;
   double p_duplicate = 0.0;
@@ -40,69 +42,32 @@ struct ExperimentResult {
   double mean_latency_ms = 0.0;
   double p99_latency_ms = 0.0;
 
-  // Diagnostics.
-  std::uint64_t source_overruns = 0;
-  std::uint64_t expired_in_queue = 0;
-  std::uint64_t connection_resets = 0;
-  std::uint64_t requests_retried = 0;
-  std::uint64_t request_timeouts = 0;
-  std::uint64_t batches_deduplicated = 0;
-  // Transport diagnostics (producer->leader connection).
-  std::uint64_t tcp_segments_sent = 0;
-  std::uint64_t tcp_retransmissions = 0;
-  std::uint64_t tcp_rto_events = 0;
-  std::uint64_t link_packets_lost = 0;
-  std::uint64_t link_packets_dropped_queue = 0;
-  std::uint64_t events = 0;
+  std::uint64_t events = 0;  ///< Simulated events executed.
   double duration_s = 0.0;
   bool completed = false;  ///< Producer finished before the time cap.
 
-  // Chaos-harness invariant inputs (per-partition log discipline).
-  std::uint64_t appends_observed = 0;  ///< Broker on_append callbacks fired.
   /// Appends whose offset was not exactly previous+1 for that broker's
   /// partition log — any nonzero value is a log-discipline bug.
   std::uint64_t offset_gap_violations = 0;
 
-  // Replication & failover (all zero at replication_factor == 1).
-  std::uint64_t acked_records = 0;   ///< Distinct keys acked to the app.
   /// Acked keys absent from the committed log at the end of the run — the
   /// acked-data-loss hazard. Must be zero under acks=all + min.insync>=2 +
   /// clean elections, whatever single-broker fail-stops happen.
   std::uint64_t acked_lost = 0;
-  std::uint64_t leader_elections = 0;
-  std::uint64_t unclean_elections = 0;
-  std::uint64_t committed_regressions = 0;  ///< Committed offset went back.
-  std::uint64_t isr_shrinks = 0;
-  std::uint64_t isr_expands = 0;
   std::uint64_t replica_prefix_violations = 0;
-  std::uint64_t follower_truncations = 0;
-  std::uint64_t producer_failovers = 0;
-  std::uint64_t producer_not_leader_errors = 0;
 
-  // Durable storage & crash recovery (all zero without disk faults and
-  // flush knobs — the storage layer is pure bookkeeping then).
+  // Durable storage & crash recovery (all zero without disk faults).
   std::uint64_t power_losses = 0;      ///< Hard crashes injected.
   std::uint64_t hard_restarts = 0;     ///< Recovery scans + rejoins.
-  std::uint64_t recovery_scans = 0;    ///< Per-partition scans run.
-  std::uint64_t records_recovered = 0;
-  std::uint64_t records_discarded = 0; ///< Lost to crashes, total.
-  std::uint64_t torn_tails = 0;
-  std::uint64_t corrupt_batches = 0;
   /// Recovery scans disagreeing with storage ground truth — any nonzero
   /// value is a recovery bug (the durable-recovery-prefix invariant).
   std::uint64_t recovery_prefix_violations = 0;
-  std::uint64_t log_flushes = 0;       ///< Synchronous flushes performed.
 
-  // Consumer drain stage (source-to-consumer Fig. 2 visibility).
-  std::uint64_t consumer_records = 0;     ///< Records read back, incl. dups.
-  std::uint64_t consumer_delivered = 0;   ///< Unique keys delivered.
-  std::uint64_t consumer_duplicates = 0;  ///< Repeat deliveries observed.
-  std::uint64_t consumer_truncations = 0; ///< Position re-pointed downward.
-  bool consumer_drained = false;          ///< Reached the drain target.
+  /// Consumer drain stage: records read back, including repeats.
+  std::uint64_t consumer_records = 0;
 
   // Consumer-group stage (group_size > 0; all zero otherwise).
   std::uint64_t group_records_fetched = 0;
-  std::uint64_t group_records_delivered = 0;   ///< Incl. re-deliveries.
   std::uint64_t group_unique_delivered = 0;    ///< Distinct keys delivered.
   std::uint64_t group_duplicate_deliveries = 0;
   /// Same (partition, offset) delivered twice within one generation by two
@@ -117,17 +82,13 @@ struct ExperimentResult {
   std::uint64_t group_lost = 0;
   std::uint64_t group_rebalances = 0;
   std::uint64_t group_evictions = 0;
-  std::uint64_t group_static_rejoins = 0;
   std::uint64_t group_commits = 0;
   std::uint64_t group_commits_fenced = 0;
-  std::uint64_t group_partitions_moved = 0;
-  std::int32_t group_generation = 0;
   bool group_drained = false;  ///< Committed reached every partition's HW.
 
   // Online health monitor (health_enabled; zero otherwise).
   std::uint64_t health_ticks = 0;
   std::uint64_t health_alerts_opened = 0;
-  std::uint64_t health_alerts_resolved = 0;
   /// Lag alerts specifically (lag_stall + lag_stop) — the precision/recall
   /// subject: chaos scores these against the crash ground truth below.
   std::uint64_t health_lag_alerts = 0;

@@ -115,8 +115,8 @@ struct Scenario {
   std::vector<FaultAction> faults;
 
   // --- multi-partition topics & consumer groups --------------------------------
-  /// Topic partitions; leaders assigned round-robin across brokers. 1 keeps
-  /// the single-partition testbed byte-identical to previous versions.
+  /// Topic partitions; leaders assigned round-robin across brokers. One
+  /// producer per partition, fed through the partition router.
   int partitions = 1;
   /// How the producer routes records to partitions (partitions > 1 only).
   kafka::PartitionerKind partitioner = kafka::PartitionerKind::kKeyed;
@@ -163,19 +163,11 @@ struct Scenario {
   /// After the producer finishes, drain the topic through a consumer so
   /// Fig. 2 is observable source-to-consumer (kFetched/kDelivered events).
   bool consumer_drain = true;
-  /// Arm the process-wide self-profiler (obs/profiler.hpp) for this run:
-  /// host-time hot-path breakdown in the report's perf section. Off =>
-  /// one branch per instrumented site. If the caller (ks_bench) already
-  /// enabled the profiler, the run profiles regardless of this knob.
-  bool profiler_enabled = false;
   /// Online health monitor (obs/health.hpp): periodic sim-time probes feed
   /// Burrow-style lag verdicts and rule-based alerting; the result lands
   /// in the report's health section. Off => probes never scheduled and the
   /// per-record latency hook is one predictable branch.
   bool health_enabled = true;
-  /// Health probe/evaluation tick; 0 falls back to the HealthConfig
-  /// default (60 ms — see obs/health.hpp for the recall-bound rationale).
-  Duration health_interval = 0;
   /// Online adaptive reconfiguration (testbed/adaptive.hpp): a sim-time
   /// control loop estimates network conditions from live telemetry and
   /// retunes the producer's batch/poll/timeout knobs at runtime. Off (the

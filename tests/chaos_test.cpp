@@ -30,6 +30,13 @@ namespace {
 
 using Kind = testbed::FaultAction::Kind;
 
+/// Packets the loss model dropped on the first producer connection's egress.
+double producer_wire_loss(const testbed::ExperimentResult& r) {
+  return r.report.metric(
+      "link_packets_dropped_total{link=\"prod0-broker0:a->b\","
+      "cause=\"loss_model\"}");
+}
+
 std::string corpus_path() {
   return std::string(KS_CORPUS_DIR) + "/chaos_seeds.txt";
 }
@@ -567,7 +574,7 @@ TEST(Chaos, InjectedViolationReproducesFromSeedAndShrinks) {
     if (lossy < 1 || unrelated < 1) continue;
     // The lossy fault must actually fire while traffic flows.
     const auto result = testbed::run_experiment(cs.scenario);
-    if (result.link_packets_lost > 0) chosen = seed;
+    if (producer_wire_loss(result) > 0) chosen = seed;
   }
   ASSERT_NE(chosen, 0u) << "generator produced no suitable scenario";
 
@@ -578,7 +585,7 @@ TEST(Chaos, InjectedViolationReproducesFromSeedAndShrinks) {
   options.extra_invariant = [](const ChaosScenario&,
                                const testbed::ExperimentResult& result,
                                std::vector<Violation>& out) {
-    if (result.link_packets_lost > 0) {
+    if (producer_wire_loss(result) > 0) {
       out.push_back({"injected-loss-detector",
                      "test invariant: any link-level packet loss"});
     }
@@ -601,7 +608,7 @@ TEST(Chaos, InjectedViolationReproducesFromSeedAndShrinks) {
   EXPECT_GE(failure.shrunk_fault_count, 1u);
   const auto shrunk_result =
       testbed::run_experiment(failure.shrunk.scenario);
-  EXPECT_GT(shrunk_result.link_packets_lost, 0u)
+  EXPECT_GT(producer_wire_loss(shrunk_result), 0.0)
       << "shrinker produced a non-violating scenario";
 }
 

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "obs/json_parse.hpp"
+#include "obs/profiler.hpp"
 #include "obs/report.hpp"
 #include "obs/report_parse.hpp"
 #include "obs/span.hpp"
@@ -125,8 +126,9 @@ TEST(ReportParse, ExperimentReportRoundTripsByteExact) {
   sc.spans_enabled = true;
   sc.span_sample_every = 5;
   sc.span_capacity = 8192;
-  sc.profiler_enabled = true;
+  profiler().enable(true);
   const auto result = testbed::run_experiment(sc);
+  profiler().enable(false);
 
   const std::string json = result.report.to_json();
   const auto parsed = report_from_json(json);
@@ -134,8 +136,8 @@ TEST(ReportParse, ExperimentReportRoundTripsByteExact) {
   EXPECT_EQ(parsed->to_json(), json);
   EXPECT_EQ(parsed->canonical_json(), result.report.canonical_json());
   // The parsed report is queryable like the original.
-  EXPECT_EQ(parsed->metric("producer_records_acked_total"),
-            result.report.metric("producer_records_acked_total"));
+  EXPECT_EQ(parsed->metric("kafka_producer_records_acked_total"),
+            result.report.metric("kafka_producer_records_acked_total"));
   EXPECT_FALSE(parsed->metrics.empty());
   EXPECT_FALSE(parsed->series.empty());
   EXPECT_GT(parsed->perf.wall_us, 0u);

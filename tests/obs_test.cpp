@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -327,7 +328,17 @@ TEST(Exporters, RunReportCollectsBeforeSnapshot) {
   CollectorHandle h = reg.add_collector([&] { mirror.set(source); });
   const RunReport report = build_run_report(reg);
   EXPECT_DOUBLE_EQ(report.metric("m_total"), 13.0);
-  EXPECT_DOUBLE_EQ(report.metric("missing", -1.0), -1.0);
+  EXPECT_THROW(report.metric("missing"), std::out_of_range);
+}
+
+TEST(Exporters, RunReportMetricSumsBareNamesOverLabelSets) {
+  MetricsRegistry reg;
+  reg.counter("sent_total", {{"conn", "a"}}).inc(3);
+  reg.counter("sent_total", {{"conn", "b"}}).inc(4);
+  const RunReport report = build_run_report(reg);
+  EXPECT_DOUBLE_EQ(report.metric("sent_total"), 7.0);
+  EXPECT_DOUBLE_EQ(report.metric("sent_total{conn=\"b\"}"), 4.0);
+  EXPECT_THROW(report.metric("sent_total{conn=\"c\"}"), std::out_of_range);
 }
 
 // The self-profiler is a process-wide singleton; tests restore its state

@@ -2,6 +2,14 @@
 // the Fig. 3 collector, and workload presets.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
+#include <ostream>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "kpi/online_controller.hpp"
 #include "testbed/calibration.hpp"
 #include "testbed/collector.hpp"
 #include "testbed/experiment.hpp"
@@ -143,8 +151,183 @@ TEST(Experiment, OnDemandModeHasNoOverruns) {
   auto sc = small_scenario();
   sc.source_mode = SourceMode::kOnDemand;
   const auto r = run_experiment(sc);
-  EXPECT_EQ(r.source_overruns, 0u);
+  EXPECT_EQ(r.report.metric("kafka_source_overruns_total"), 0.0);
   EXPECT_EQ(r.census.lost, 0u);
+}
+
+// Stage matrix: one scenario per testbed stage or wiring branch, each with
+// its message fates and simulated event count pinned. A change to how the
+// runner wires a run must leave every number here unchanged.
+struct StageFates {
+  std::uint64_t delivered = 0, duplicated = 0, lost = 0;
+  std::array<std::uint64_t, 6> cases{};
+  std::uint64_t acked_lost = 0, group_unique = 0, group_duplicates = 0,
+                group_lost = 0, consumer_records = 0, events = 0;
+  bool operator==(const StageFates&) const = default;
+};
+
+void PrintTo(const StageFates& f, std::ostream* os) {
+  *os << "{" << f.delivered << ", " << f.duplicated << ", " << f.lost
+      << ", {";
+  for (std::size_t i = 0; i < f.cases.size(); ++i) {
+    *os << (i ? ", " : "") << f.cases[i];
+  }
+  *os << "}, " << f.acked_lost << ", " << f.group_unique << ", "
+      << f.group_duplicates << ", " << f.group_lost << ", "
+      << f.consumer_records << ", " << f.events << "}";
+}
+
+FaultAction fault_at(FaultAction::Kind kind, Duration at, int target = 0) {
+  FaultAction f;
+  f.kind = kind;
+  f.at = at;
+  f.broker = target;
+  f.member = target;
+  return f;
+}
+
+struct StageCase {
+  const char* name;
+  void (*shape)(Scenario&);
+  StageFates expected;
+};
+
+const StageCase kStageMatrix[] = {
+    {"defaults", [](Scenario&) {},
+     {800, 0, 0, {0, 800, 0, 0, 0, 0}, 0, 0, 0, 0, 800, 13929}},
+    {"table1_lossy",
+     [](Scenario& sc) {
+       sc.message_size = 100;
+       sc.network_delay = millis(100);
+       sc.packet_loss = 0.19;
+       sc.message_timeout = millis(2000);
+       sc.request_timeout = millis(1200);
+       sc.source_interval = micros(4000);
+     },
+     {558, 157, 85, {85, 558, 0, 0, 0, 157}, 0, 0, 0, 0, 872, 49988}},
+    {"rf3_exactly_once_broker_fail",
+     [](Scenario& sc) {
+       sc.semantics = kafka::DeliverySemantics::kExactlyOnce;
+       sc.replication_factor = 3;
+       sc.min_insync_replicas = 2;
+       sc.request_timeout = millis(300);
+       sc.retries_override = 50;
+       sc.message_timeout = seconds(120);
+       sc.faults = {fault_at(FaultAction::Kind::kBrokerFail, millis(300)),
+                    fault_at(FaultAction::Kind::kBrokerResume, millis(900))};
+     },
+     {800, 0, 0, {0, 247, 0, 0, 552, 1}, 0, 0, 0, 0, 800, 250927}},
+    {"p4_keyed_no_group",
+     [](Scenario& sc) {
+       sc.partitions = 4;
+       sc.partitioner = kafka::PartitionerKind::kKeyed;
+     },
+     {800, 0, 0, {0, 800, 0, 0, 0, 0}, 0, 0, 0, 0, 183, 17779}},
+    {"p4_rf3_group_member_crash",
+     [](Scenario& sc) {
+       sc.semantics = kafka::DeliverySemantics::kExactlyOnce;
+       sc.replication_factor = 3;
+       sc.min_insync_replicas = 2;
+       sc.partitions = 4;
+       sc.group_size = 3;
+       sc.source_mode = SourceMode::kOnDemand;
+       sc.faults = {
+           fault_at(FaultAction::Kind::kConsumerCrash, millis(150), 1),
+           fault_at(FaultAction::Kind::kConsumerRestart, millis(900), 1)};
+     },
+     {800, 0, 0, {0, 772, 0, 0, 28, 0}, 0, 800, 0, 0, 0, 662456}},
+    {"rf1_power_loss_restore",
+     [](Scenario& sc) {
+       auto loss = fault_at(FaultAction::Kind::kPowerLoss, millis(250));
+       loss.torn_write = true;
+       sc.faults = {loss,
+                    fault_at(FaultAction::Kind::kPowerRestore, millis(600))};
+     },
+     {727, 0, 73, {0, 799, 0, 0, 1, 0}, 73, 0, 0, 0, 727, 14506}},
+    {"adaptive_single_connection",
+     [](Scenario& sc) {
+       sc.packet_loss = 0.2;
+       sc.adaptive_enabled = true;
+       sc.adaptive_interval = millis(250);
+       sc.adaptive_cooldown = seconds(1);
+       sc.adaptive_factory = kpi::synthetic_adaptive_factory();
+     },
+     {800, 0, 0, {0, 800, 0, 0, 0, 0}, 0, 0, 0, 0, 800, 11453}},
+    {"observability_off",
+     [](Scenario& sc) {
+       sc.packet_loss = 0.1;
+       sc.health_enabled = false;
+       sc.sample_interval = 0;
+       sc.spans_enabled = false;
+     },
+     {800, 0, 0, {0, 800, 0, 0, 0, 0}, 0, 0, 0, 0, 800, 14153}},
+};
+
+void PrintTo(const StageCase& c, std::ostream* os) { *os << c.name; }
+
+class StageMatrix : public testing::TestWithParam<StageCase> {};
+
+TEST_P(StageMatrix, FatesArePinned) {
+  Scenario sc;
+  sc.num_messages = 800;
+  sc.seed = 4242;
+  GetParam().shape(sc);
+  const auto r = run_experiment(sc);
+  const StageFates got{r.census.delivered,
+                       r.census.duplicated,
+                       r.census.lost,
+                       r.cases.cases,
+                       r.acked_lost,
+                       r.group_unique_delivered,
+                       r.group_duplicate_deliveries,
+                       r.group_lost,
+                       r.consumer_records,
+                       r.events};
+  EXPECT_EQ(got, GetParam().expected);
+}
+
+INSTANTIATE_TEST_SUITE_P(Experiment, StageMatrix,
+                         testing::ValuesIn(kStageMatrix),
+                         [](const testing::TestParamInfo<StageCase>& info) {
+                           return std::string(info.param.name);
+                         });
+
+/// Records the telemetry of every tick and never reconfigures.
+class RecordingDriver : public AdaptiveDriver {
+ public:
+  explicit RecordingDriver(std::shared_ptr<std::vector<AdaptiveTelemetry>> log)
+      : log_(std::move(log)) {}
+  Duration interval() const override { return millis(100); }
+  Duration cooldown() const override { return seconds(1); }
+  AdaptiveDecision tick(TimePoint, const AdaptiveTelemetry& t) override {
+    log_->push_back(t);
+    return {};
+  }
+
+ private:
+  std::shared_ptr<std::vector<AdaptiveTelemetry>> log_;
+};
+
+// With two partitions there are two producer connections, and the
+// controller's transport counters must cover both, not just the first.
+TEST(Experiment, AdaptiveTelemetryCoversEveryProducerConnection) {
+  auto log = std::make_shared<std::vector<AdaptiveTelemetry>>();
+  auto sc = small_scenario();
+  sc.num_messages = 800;
+  sc.partitions = 2;
+  sc.adaptive_enabled = true;
+  sc.adaptive_factory = [log](const Scenario&) {
+    return std::make_unique<RecordingDriver>(log);
+  };
+  const auto r = run_experiment(sc);
+  ASSERT_FALSE(log->empty());
+  const double first = r.report.metric(
+      "tcp_segments_sent_total{conn=\"prod0-conn0:client\"}");
+  const double second = r.report.metric(
+      "tcp_segments_sent_total{conn=\"prod1-conn1:client\"}");
+  const auto seen = static_cast<double>(log->back().segments_sent);
+  EXPECT_GT(seen, first) << "only the first producer's connection is read";
+  EXPECT_LE(seen, first + second);
 }
 
 TEST(Collector, GridSizesMatchConfig) {
