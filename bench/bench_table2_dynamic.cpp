@@ -90,6 +90,9 @@ void run_table2(bench::BenchContext& ctx) {
                                      /*gamma_requirement=*/0.97, occ);
     const auto online = kpi::run_dynamic_experiment(
         trace, workload, semantics, nullptr, weights, 4242, &controller);
+    for (const auto* run : {&def, &dyn, &online}) {
+      ctx.account(run->duration_s, run->events, 1);
+    }
 
     const double oracle_gain =
         def.overall_loss_rate - dyn.overall_loss_rate;

@@ -51,7 +51,7 @@ if [[ "${1:-}" == "--fast" ]]; then
   exit 0
 fi
 
-TEST_TARGETS="$(sed -n 's/^ks_test(\(.*\))$/\1/p' tests/CMakeLists.txt)"
+TEST_TARGETS="$(sed -n 's/^ks_test(\([A-Za-z0-9_]*\).*)$/\1/p' tests/CMakeLists.txt)"
 
 # Two separate sanitizer builds: asan (heap/stack corruption) and ubsan
 # (with -fno-sanitize-recover=all, so any UB report is a hard failure).

@@ -48,7 +48,6 @@ PartitionLog::AppendResult PartitionLog::append(std::span<const Record> records,
 
   result.base_offset = log_end_offset();
   const std::int64_t hw_before = high_watermark();
-  entries_.reserve(entries_.size() + records.size());
   std::int64_t sequence = base_sequence;
   Bytes batch_wire = 0;
   for (const auto& r : records) {

@@ -343,6 +343,7 @@ DynamicRunResult run_dynamic_experiment(
   result.overall_loss_rate = result.census.p_loss();
   result.overall_duplicate_rate = result.census.p_duplicate();
   result.duration_s = to_seconds(finish);
+  result.events = sim.events_executed();
 
   const auto perf = predict_performance(workload.message_size,
                                         pconf.batch_size,

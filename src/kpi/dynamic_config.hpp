@@ -97,6 +97,7 @@ struct DynamicRunResult {
   kafka::Cluster::CensusResult census;
   double measured_gamma = 0.0;          ///< From measured phi/mu/R_l/R_d.
   double duration_s = 0.0;
+  std::uint64_t events = 0;             ///< Simulated events executed.
   std::uint64_t reconfigurations = 0;
   /// Online arm only: decisions past the confidence gate + cooldown
   /// (applied reconfigurations land in `reconfigurations`).

@@ -23,11 +23,11 @@ Simulation::Simulation(std::uint64_t seed) : rng_(seed) {
   });
 }
 
-EventId Simulation::at(TimePoint t, std::function<void()> fn) {
+EventId Simulation::at(TimePoint t, Callback fn) {
   return queue_.push(std::max(t, now_), std::move(fn));
 }
 
-EventId Simulation::after(Duration delay, std::function<void()> fn) {
+EventId Simulation::after(Duration delay, Callback fn) {
   return at(now_ + std::max<Duration>(delay, 0), std::move(fn));
 }
 
@@ -62,19 +62,25 @@ std::uint64_t Simulation::run(TimePoint until) {
   return ran;
 }
 
-void Timer::arm(Duration delay, std::function<void()> fn) {
+void Timer::arm(Duration delay, Callback fn) {
   cancel();
+  fn_ = std::move(fn);
   deadline_ = sim_->now() + std::max<Duration>(delay, 0);
-  id_ = sim_->at(deadline_, [this, fn = std::move(fn)]() {
-    id_ = 0;
-    fn();
-  });
+  id_ = sim_->at(deadline_, [this] { fire(); });
+}
+
+void Timer::fire() {
+  id_ = 0;
+  // Run from a local: the callback may re-arm this timer, replacing fn_.
+  Callback fn = std::move(fn_);
+  fn();
 }
 
 void Timer::cancel() {
   if (id_ != 0) {
     sim_->cancel(id_);
     id_ = 0;
+    fn_.reset();
   }
 }
 

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 
 #include "common/logging.hpp"
@@ -46,10 +45,10 @@ class Simulation {
   obs::ClusterTimeline& timeline() noexcept { return timeline_; }
 
   /// Schedule `fn` at absolute time `t` (clamped to now if in the past).
-  EventId at(TimePoint t, std::function<void()> fn);
+  EventId at(TimePoint t, Callback fn);
 
   /// Schedule `fn` after `delay` (negative delays clamp to 0).
-  EventId after(Duration delay, std::function<void()> fn);
+  EventId after(Duration delay, Callback fn);
 
   /// Cancel a pending event; safe to call with stale ids.
   bool cancel(EventId id) { return queue_.cancel(id); }
@@ -97,7 +96,8 @@ class Simulation {
 
 /// A restartable one-shot timer bound to a Simulation. Rearming cancels any
 /// pending expiry. Destruction cancels too, so components can hold timers
-/// by value without dangling callbacks.
+/// by value without dangling callbacks. The timer owns its callback and
+/// schedules only a pointer-sized thunk that runs it.
 class Timer {
  public:
   explicit Timer(Simulation& sim) : sim_(&sim) {}
@@ -107,16 +107,19 @@ class Timer {
   Timer& operator=(const Timer&) = delete;
 
   /// (Re)arm to fire `delay` from now.
-  void arm(Duration delay, std::function<void()> fn);
+  void arm(Duration delay, Callback fn);
 
-  /// Cancel a pending expiry; no-op if not armed.
+  /// Cancel a pending expiry and release its callback; no-op if not armed.
   void cancel();
 
   bool armed() const noexcept { return id_ != 0; }
   TimePoint deadline() const noexcept { return deadline_; }
 
  private:
+  void fire();
+
   Simulation* sim_;
+  Callback fn_;
   EventId id_ = 0;
   TimePoint deadline_ = 0;
 };

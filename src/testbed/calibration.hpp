@@ -22,6 +22,9 @@
 // Change these in one place; every experiment and bench reads them here.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
+
 #include "common/types.hpp"
 
 namespace ks::testbed {
@@ -96,5 +99,15 @@ inline constexpr double kTcpCwndFloorOpenLoop = 18.0;
 // --- run control ------------------------------------------------------------
 inline constexpr Duration kMaxSimTime = seconds(3600);
 inline constexpr Duration kDrainGrace = seconds(15);
+
+/// Sim-time cap on a run's message phase: kMaxSimTime, or twice the
+/// full-load emission time of N messages of size M when that is longer.
+/// The paper's N = 10^6 at M = 200 B emits for 3,400 s, so it gets 6,800 s;
+/// runs below ~530k messages at 200 B keep the fixed cap.
+constexpr Duration max_sim_time(std::uint64_t num_messages,
+                                Bytes message_size) noexcept {
+  return std::max(kMaxSimTime, 2 * static_cast<Duration>(num_messages) *
+                                   full_load_interval(message_size));
+}
 
 }  // namespace ks::testbed

@@ -755,7 +755,8 @@ void run_producers(Testbed& tb) {
     return std::all_of(tb.producers.begin(), tb.producers.end(),
                        [](const auto& pr) { return pr->finished(); });
   };
-  while (!finished() && sim.now() < kMaxSimTime) {
+  const Duration cap = max_sim_time(tb.sc.num_messages, tb.sc.message_size);
+  while (!finished() && sim.now() < cap) {
     sim.run(sim.now() + seconds(1));
   }
   tb.result.completed = finished();

@@ -478,6 +478,9 @@ TEST_F(TrainedPredictor, DynamicRunSmoke) {
   EXPECT_GE(result.overall_loss_rate, 0.0);
   EXPECT_LE(result.overall_loss_rate, 1.0);
   EXPECT_GT(result.measured_gamma, 0.0);
+  // Every message is at least one source event; benches account these.
+  EXPECT_GT(result.events, result.census.total_keys);
+  EXPECT_GT(result.duration_s, 0.0);
 }
 
 }  // namespace

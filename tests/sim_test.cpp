@@ -2,6 +2,8 @@
 // kernel, timers and the two-state regime modulator.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -70,6 +72,95 @@ TEST(EventQueue, NextTimeSkipsCancelled) {
   q.push(9, [] {});
   q.cancel(early);
   EXPECT_EQ(q.next_time(), 9);
+}
+
+TEST(EventQueue, CancelAfterRunFailsAndKeepsSize) {
+  EventQueue q;
+  const EventId first = q.push(1, [] {});
+  q.push(2, [] {});
+  q.pop().fn();
+  EXPECT_FALSE(q.cancel(first));
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_FALSE(q.empty());
+}
+
+TEST(EventQueue, CancelReleasesCaptureAtOnce) {
+  EventQueue q;
+  auto state = std::make_shared<int>(0);
+  const EventId id = q.push(1, [state] { ++*state; });
+  EXPECT_EQ(state.use_count(), 2);
+  EXPECT_TRUE(q.cancel(id));
+  EXPECT_EQ(state.use_count(), 1);
+  EXPECT_EQ(*state, 0);
+}
+
+TEST(EventQueue, StaleIdDoesNotCancelSlotReuse) {
+  EventQueue q;
+  int ran = 0;
+  const EventId cancelled = q.push(1, [&] { ran += 1; });
+  ASSERT_TRUE(q.cancel(cancelled));
+  const EventId popped = q.push(2, [&] { ran += 10; });
+  EXPECT_NE(popped, cancelled);
+  q.pop().fn();
+  // Both slots are free again; the next event reuses one of them.
+  const EventId live = q.push(3, [&] { ran += 100; });
+  EXPECT_NE(live, cancelled);
+  EXPECT_NE(live, popped);
+  EXPECT_FALSE(q.cancel(cancelled));
+  EXPECT_FALSE(q.cancel(popped));
+  EXPECT_EQ(q.size(), 1u);
+  q.pop().fn();
+  EXPECT_EQ(ran, 110);
+}
+
+// Counts runs and live instances through pointers, with a payload larger
+// than Callback's inline buffer so it takes the heap path.
+struct LargeCapture {
+  int* runs;
+  int* live;
+  std::array<char, 2 * Callback::kInlineBytes> pad{};
+
+  LargeCapture(int* r, int* l) : runs(r), live(l) { ++*live; }
+  LargeCapture(const LargeCapture& o) : runs(o.runs), live(o.live), pad(o.pad) {
+    ++*live;
+  }
+  LargeCapture(LargeCapture&& o) noexcept
+      : runs(o.runs), live(o.live), pad(o.pad) {
+    ++*live;
+  }
+  LargeCapture& operator=(const LargeCapture&) = delete;
+  ~LargeCapture() { --*live; }
+  void operator()() { ++*runs; }
+};
+static_assert(sizeof(LargeCapture) > Callback::kInlineBytes);
+
+TEST(Callback, LargeCaptureRunsOnceAndIsDestroyedOnce) {
+  int runs = 0;
+  int live = 0;
+  {
+    Simulation sim;
+    sim.at(1, LargeCapture(&runs, &live));
+    EXPECT_EQ(live, 1);  // Only the heap copy; the temporary is gone.
+    sim.run();
+    EXPECT_EQ(runs, 1);
+    EXPECT_EQ(live, 0);
+  }
+  EventQueue q;
+  const EventId id = q.push(1, LargeCapture(&runs, &live));
+  EXPECT_EQ(live, 1);
+  EXPECT_TRUE(q.cancel(id));
+  EXPECT_EQ(live, 0);
+  EXPECT_EQ(runs, 1);
+}
+
+TEST(Callback, MoveOnlyCaptureThroughAtAndTimer) {
+  Simulation sim;
+  Timer timer(sim);
+  int seen = 0;
+  sim.at(1, [p = std::make_unique<int>(7), &seen] { seen += *p; });
+  timer.arm(2, [p = std::make_unique<int>(30), &seen] { seen += *p; });
+  sim.run();
+  EXPECT_EQ(seen, 37);
 }
 
 TEST(Simulation, ClockAdvancesWithEvents) {
@@ -193,6 +284,18 @@ TEST(Timer, DeadlineReported) {
   Timer timer(sim);
   timer.arm(42, [] {});
   EXPECT_EQ(timer.deadline(), 42);
+}
+
+TEST(Timer, CancelReleasesCallback) {
+  Simulation sim;
+  Timer timer(sim);
+  auto state = std::make_shared<int>(0);
+  timer.arm(10, [state] { ++*state; });
+  EXPECT_EQ(state.use_count(), 2);
+  timer.cancel();
+  EXPECT_EQ(state.use_count(), 1);
+  sim.run();
+  EXPECT_EQ(*state, 0);
 }
 
 TEST(Timer, DestructorCancels) {

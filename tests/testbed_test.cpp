@@ -55,6 +55,17 @@ TEST(Calibration, FullLoadIntervalGrowsWithSize) {
   EXPECT_EQ(full_load_interval(0), kSerializeBase);
 }
 
+TEST(Calibration, MaxSimTimeCoversFullLoadEmission) {
+  // Below the break-even N the fixed cap holds.
+  EXPECT_EQ(max_sim_time(0, 200), kMaxSimTime);
+  EXPECT_EQ(max_sim_time(20000, 200), kMaxSimTime);
+  EXPECT_EQ(max_sim_time(500000, 200), kMaxSimTime);
+  // The paper's N = 10^6 at M = 200 B: twice 10^6 x 3.4 ms.
+  EXPECT_EQ(max_sim_time(1000000, 200), seconds(6800));
+  EXPECT_EQ(max_sim_time(1000000, 1000),
+            2 * 1000000 * full_load_interval(1000));
+}
+
 Scenario small_scenario() {
   Scenario sc;
   sc.num_messages = 1500;
@@ -95,6 +106,26 @@ TEST(Experiment, DeterministicGivenSeed) {
   EXPECT_EQ(a.census.lost, b.census.lost);
   EXPECT_EQ(a.events, b.events);
   EXPECT_DOUBLE_EQ(a.duration_s, b.duration_s);
+}
+
+// Allocated bytes per message must not grow with N. A per-message cost
+// that rises with the log length shows here at a few thousand messages,
+// long before it shows in wall time. Allocation counts repeat exactly for
+// a build, so the guard needs no timing bound.
+TEST(Experiment, AllocatedBytesPerMessageStayFlat) {
+  const auto bytes_per_message = [](std::uint64_t n) {
+    Scenario sc;
+    sc.num_messages = n;
+    const auto r = run_experiment(sc);
+    EXPECT_TRUE(r.completed);
+    return static_cast<double>(r.report.perf.alloc_bytes) /
+           static_cast<double>(n);
+  };
+  const double small = bytes_per_message(4000);
+  if (small == 0.0) GTEST_SKIP() << "allocation counting is off in this build";
+  const double large = bytes_per_message(32000);
+  EXPECT_LE(large, 1.5 * small)
+      << "bytes/msg: " << small << " at N=4000, " << large << " at N=32000";
 }
 
 TEST(Experiment, SeedChangesRun) {
