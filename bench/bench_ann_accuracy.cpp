@@ -35,9 +35,8 @@ void run_ann_accuracy(bench::BenchContext& ctx) {
   auto abnormal = collector.collect_abnormal();
   std::printf("# abnormal dataset: %zu rows\n\n", abnormal.size());
   std::fflush(stdout);
-  ctx.account(0.0, 0,
-              static_cast<std::uint64_t>(collector.normal_grid_size() +
-                                         collector.abnormal_grid_size()));
+  ctx.account(collector.sim_seconds(), collector.sim_events(),
+              collector.runs());
 
   ann::TrainConfig tc;
   tc.epochs = full ? 600 : 400;

@@ -5,6 +5,9 @@
 // weighted KPI over the *known* trace, and with the online controller
 // that estimates the condition from live telemetry without ever seeing
 // the trace — and report the overall loss and duplicate rates R_l, R_d.
+// All three arms are `testbed::run_experiment` calls on one Scenario built
+// by `testbed::replay_scenario`: the trace is its fault schedule, and the
+// oracle and online arms differ only in their adaptive driver.
 //
 // Paper's observations to reproduce: dynamic configuration reduces R_l by
 // a large factor on every workload; R_d stays small (and may tick up when
@@ -12,6 +15,8 @@
 // online arm should recover most of the oracle's R_l reduction — the
 // `oracle_recovery` point records the recovered fraction
 //   (R_l_default - R_l_online) / (R_l_default - R_l_oracle).
+// The artifact's work accounting covers every run the bench makes: the
+// predictor's training collection and the nine Table II runs.
 #include <algorithm>
 #include <cstdio>
 
@@ -19,6 +24,7 @@
 #include "kpi/dynamic_config.hpp"
 #include "kpi/online_controller.hpp"
 #include "testbed/collector.hpp"
+#include "testbed/experiment.hpp"
 #include "testbed/workloads.hpp"
 
 namespace {
@@ -36,9 +42,6 @@ void run_table2(bench::BenchContext& ctx) {
   std::printf("# training predictor on %zu + %zu runs...\n",
               collector.normal_grid_size(), collector.abnormal_grid_size());
   std::fflush(stdout);
-  ctx.account(0.0, 0,
-              static_cast<std::uint64_t>(collector.normal_grid_size() +
-                                         collector.abnormal_grid_size()));
 
   ann::TrainConfig tc;
   tc.epochs = full ? 500 : 200;
@@ -52,6 +55,8 @@ void run_table2(bench::BenchContext& ctx) {
   std::printf("# predictor MAE: normal %.4f, abnormal %.4f\n\n",
               train_result.normal_mae, train_result.abnormal_mae);
   std::fflush(stdout);
+  ctx.account(collector.sim_seconds(), collector.sim_events(),
+              collector.runs());
 
   // 2. The Fig. 9 network trace.
   net::TraceGenConfig tconf;
@@ -74,30 +79,34 @@ void run_table2(bench::BenchContext& ctx) {
     const auto schedule =
         configurator.build_schedule(trace, seconds(60), workload, semantics);
 
-    const auto def = kpi::run_dynamic_experiment(
-        trace, workload, semantics, nullptr, weights, 4242);
-    const auto dyn = kpi::run_dynamic_experiment(
-        trace, workload, semantics, &schedule, weights, 4242);
+    auto fixed = testbed::replay_scenario(workload, trace);
+    fixed.semantics = semantics;
+    fixed.seed = 4242;
+    kpi::DynamicParams{}.apply_to(fixed);
+
+    auto oracle = fixed;
+    kpi::follow_schedule(oracle, schedule);
 
     // The online arm: same trace, same seed, but the controller only sees
-    // live telemetry. A fresh driver per run — controller state is run
-    // state. The cooldown matches the oracle's 60 s check interval spirit
-    // but reacts faster; single-step moves keep it from thrashing.
+    // live telemetry. The cooldown matches the oracle's 60 s check interval
+    // spirit but reacts faster; single-step moves keep it from thrashing.
     kpi::OnlineController::Config occ;
     occ.interval = seconds(1);
     occ.cooldown = seconds(15);
-    kpi::OnlineController controller(predictor, workload, semantics, weights,
-                                     /*gamma_requirement=*/0.97, occ);
-    const auto online = kpi::run_dynamic_experiment(
-        trace, workload, semantics, nullptr, weights, 4242, &controller);
+    auto live = fixed;
+    live.adaptive_enabled = true;
+    live.adaptive_factory = kpi::online_adaptive_factory(
+        predictor, weights, /*gamma_requirement=*/0.97, occ);
+
+    const auto def = testbed::run_experiment(fixed);
+    const auto dyn = testbed::run_experiment(oracle);
+    const auto online = testbed::run_experiment(live);
     for (const auto* run : {&def, &dyn, &online}) {
       ctx.account(run->duration_s, run->events, 1);
     }
 
-    const double oracle_gain =
-        def.overall_loss_rate - dyn.overall_loss_rate;
-    const double online_gain =
-        def.overall_loss_rate - online.overall_loss_rate;
+    const double oracle_gain = def.p_loss - dyn.p_loss;
+    const double online_gain = def.p_loss - online.p_loss;
     // Recovered fraction of the oracle's R_l reduction; clamped into
     // [0, 2] so a tiny oracle gain cannot blow the point up.
     const double recovery =
@@ -107,15 +116,15 @@ void run_table2(bench::BenchContext& ctx) {
 
     ctx.point(
         {{"workload", static_cast<double>(workload_index++)}},
-        {{"r_loss_default", {def.overall_loss_rate, 0.0}},
-         {"r_loss_dynamic", {dyn.overall_loss_rate, 0.0}},
-         {"r_loss_online", {online.overall_loss_rate, 0.0}},
-         {"r_dup_default", {def.overall_duplicate_rate, 0.0}},
-         {"r_dup_dynamic", {dyn.overall_duplicate_rate, 0.0}},
-         {"r_dup_online", {online.overall_duplicate_rate, 0.0}},
+        {{"r_loss_default", {def.p_loss, 0.0}},
+         {"r_loss_dynamic", {dyn.p_loss, 0.0}},
+         {"r_loss_online", {online.p_loss, 0.0}},
+         {"r_dup_default", {def.p_duplicate, 0.0}},
+         {"r_dup_dynamic", {dyn.p_duplicate, 0.0}},
+         {"r_dup_online", {online.p_duplicate, 0.0}},
          {"reconfigs", {static_cast<double>(schedule.size()), 0.0}},
          {"online_reconfigs",
-          {static_cast<double>(online.reconfigurations), 0.0}},
+          {static_cast<double>(online.adaptive_reconfigurations), 0.0}},
          {"oracle_recovery", {recovery, 0.0}}});
 
     char wbuf[48];
@@ -124,13 +133,11 @@ void run_table2(bench::BenchContext& ctx) {
                   workload.weights[2], workload.weights[3]);
     char rbuf[16];
     std::snprintf(rbuf, sizeof(rbuf), "%.0f%%", recovery * 100.0);
-    table.row({workload.name, wbuf, bench::pct(def.overall_loss_rate),
-               bench::pct(dyn.overall_loss_rate),
-               bench::pct(online.overall_loss_rate),
-               bench::pct(def.overall_duplicate_rate),
-               bench::pct(dyn.overall_duplicate_rate),
-               bench::pct(online.overall_duplicate_rate), rbuf,
-               std::to_string(online.reconfigurations)});
+    table.row({workload.name, wbuf, bench::pct(def.p_loss),
+               bench::pct(dyn.p_loss), bench::pct(online.p_loss),
+               bench::pct(def.p_duplicate), bench::pct(dyn.p_duplicate),
+               bench::pct(online.p_duplicate), rbuf,
+               std::to_string(online.adaptive_reconfigurations)});
     std::fflush(stdout);
   }
   table.print();

@@ -4,12 +4,14 @@
 //  3. generate a Fig. 9 network trace (Pareto delay + Gilbert-Elliott loss);
 //  4. build a per-minute configuration schedule by stepwise search on the
 //     predicted weighted KPI;
-//  5. replay the trace with the static default and with the schedule, and
-//     compare the overall loss/duplicate rates R_l / R_d (Table II style).
+//  5. replay the trace through the testbed with the static default and with
+//     the schedule, and compare the overall loss/duplicate rates R_l / R_d
+//     (Table II style).
 #include <cstdio>
 
 #include "kpi/dynamic_config.hpp"
 #include "testbed/collector.hpp"
+#include "testbed/experiment.hpp"
 #include "testbed/workloads.hpp"
 
 int main() {
@@ -58,14 +60,19 @@ int main() {
                 entry.predicted_gamma);
   }
 
-  const auto def = kpi::run_dynamic_experiment(trace, workload, semantics,
-                                               nullptr, weights, 31337);
-  const auto dyn = kpi::run_dynamic_experiment(trace, workload, semantics,
-                                               &schedule, weights, 31337);
+  auto fixed = testbed::replay_scenario(workload, trace);
+  fixed.semantics = semantics;
+  fixed.seed = 31337;
+  kpi::DynamicParams{}.apply_to(fixed);
+  auto scheduled = fixed;
+  kpi::follow_schedule(scheduled, schedule);
+
+  const auto def = testbed::run_experiment(fixed);
+  const auto dyn = testbed::run_experiment(scheduled);
   std::printf("\n%-22s %-10s %-10s\n", "", "R_l", "R_d");
-  std::printf("%-22s %-10.4f %-10.4f\n", "static default",
-              def.overall_loss_rate, def.overall_duplicate_rate);
-  std::printf("%-22s %-10.4f %-10.4f\n", "dynamic schedule",
-              dyn.overall_loss_rate, dyn.overall_duplicate_rate);
+  std::printf("%-22s %-10.4f %-10.4f\n", "static default", def.p_loss,
+              def.p_duplicate);
+  std::printf("%-22s %-10.4f %-10.4f\n", "dynamic schedule", dyn.p_loss,
+              dyn.p_duplicate);
   return 0;
 }

@@ -30,13 +30,8 @@ Bytes Source::next_size() {
   return std::max<Bytes>(1, size);
 }
 
-Duration Source::next_interval() {
-  if (config_.interval_fn) return config_.interval_fn(sim_.now());
-  return config_.emit_interval;
-}
-
 void Source::start() {
-  if (config_.emit_interval <= 0 && !config_.interval_fn) return;
+  if (config_.emit_interval <= 0) return;
   emit();
 }
 
@@ -55,12 +50,11 @@ void Source::emit() {
     buffer_.pop_front();
   }
   buffer_.push_back(r);
-  const Duration gap = std::max<Duration>(1, next_interval());
-  sim_.after(gap, [this] { emit(); });
+  sim_.after(config_.emit_interval, [this] { emit(); });
 }
 
 std::optional<Record> Source::pull() {
-  if (config_.emit_interval > 0 || config_.interval_fn) {
+  if (config_.emit_interval > 0) {
     if (buffer_.empty()) return std::nullopt;
     Record r = buffer_.front();
     buffer_.pop_front();

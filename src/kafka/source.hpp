@@ -43,9 +43,6 @@ class Source : public RecordSource {
     Bytes size_jitter = 0;                  ///< Uniform +/- jitter on M.
     Duration emit_interval = 0;             ///< 0 => on-demand mode.
     std::size_t buffer_capacity = 5000;     ///< Ring size (real-time mode).
-    /// Hook to vary the emission interval over time (e.g. lambda(t) in the
-    /// dynamic experiment). Returns the gap before the NEXT emission.
-    std::function<Duration(TimePoint)> interval_fn;
   };
 
   struct Stats {
@@ -81,7 +78,6 @@ class Source : public RecordSource {
  private:
   void emit();
   Bytes next_size();
-  Duration next_interval();
 
   sim::Simulation& sim_;
   Config config_;

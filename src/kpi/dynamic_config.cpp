@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <functional>
+#include <cstdio>
+#include <memory>
+#include <numeric>
 
 #include "kpi/perf_model.hpp"
-#include "net/netem.hpp"
-#include "sim/simulation.hpp"
-#include "tcp/endpoint.hpp"
-#include "testbed/calibration.hpp"
 
 namespace ks::kpi {
 
@@ -43,7 +41,50 @@ std::size_t step_toward(std::size_t from, std::size_t to) {
   return from;
 }
 
+/// Replays an offline schedule. Ticks fall on every entry's start time (their
+/// spacing is the gcd of the starts), and the tick at an entry's start
+/// applies it; every other tick decides nothing.
+class ScheduleDriver final : public testbed::AdaptiveDriver {
+ public:
+  ScheduleDriver(std::vector<ScheduleEntry> schedule, Duration spacing)
+      : schedule_(std::move(schedule)), spacing_(spacing) {}
+
+  Duration interval() const override { return spacing_; }
+  Duration cooldown() const override { return spacing_; }
+
+  testbed::AdaptiveDecision tick(TimePoint now,
+                                 const testbed::AdaptiveTelemetry&) override {
+    testbed::AdaptiveDecision d;
+    if (next_ == schedule_.size() || schedule_[next_].start > now) return d;
+    const ScheduleEntry& e = schedule_[next_++];
+    d.evaluated = d.apply = true;
+    d.batch_size = e.params.batch_size;
+    d.poll_interval = e.params.poll_interval;
+    d.message_timeout = e.params.message_timeout;
+    d.chosen_gamma = e.predicted_gamma;
+    char note[96];
+    std::snprintf(note, sizeof(note),
+                  "offline schedule: batch %d poll %lldms T_o %lldms",
+                  d.batch_size,
+                  static_cast<long long>(d.poll_interval / kMillisecond),
+                  static_cast<long long>(d.message_timeout / kMillisecond));
+    d.note = note;
+    return d;
+  }
+
+ private:
+  std::vector<ScheduleEntry> schedule_;
+  Duration spacing_;
+  std::size_t next_ = 1;
+};
+
 }  // namespace
+
+void DynamicParams::apply_to(testbed::Scenario& scenario) const {
+  scenario.batch_size = batch_size;
+  scenario.poll_interval = poll_interval;
+  scenario.message_timeout = message_timeout;
+}
 
 const std::vector<int>& batch_steps() {
   static const std::vector<int> steps(kBatchSteps.begin(), kBatchSteps.end());
@@ -86,9 +127,7 @@ double DynamicConfigurator::predicted_gamma(
   s.network_delay = delay;
   s.packet_loss = loss;
   s.semantics = semantics;
-  s.batch_size = params.batch_size;
-  s.poll_interval = params.poll_interval;
-  s.message_timeout = params.message_timeout;
+  params.apply_to(s);
   const auto rel = predictor_->predict(s);
   const auto perf = predict_performance(workload.message_size,
                                         params.batch_size,
@@ -227,132 +266,20 @@ std::vector<ScheduleEntry> DynamicConfigurator::build_schedule(
   return schedule;
 }
 
-DynamicRunResult run_dynamic_experiment(
-    const net::NetworkTrace& trace, const testbed::Workload& workload,
-    kafka::DeliverySemantics semantics,
-    const std::vector<ScheduleEntry>* schedule, KpiWeights weights,
-    std::uint64_t seed, testbed::AdaptiveDriver* online) {
-  namespace tb = ks::testbed;
-  DynamicRunResult result;
-
-  sim::Simulation sim(seed);
-
-  kafka::Cluster::Config cluster_config;
-  cluster_config.num_brokers = 3;
-  cluster_config.broker.request_overhead = tb::kBrokerRequestOverhead;
-  cluster_config.broker.append_per_byte_us = tb::kBrokerAppendPerByteUs;
-  cluster_config.broker.bad_slowdown = tb::kBrokerBadSlowdown;
-  cluster_config.broker.regime.enabled = true;
-  cluster_config.broker.regime.mean_good = tb::kBrokerMeanGood;
-  cluster_config.broker.regime.mean_bad = tb::kBrokerMeanBad;
-  kafka::Cluster cluster(sim, cluster_config);
-  cluster.create_topic("stream", 1);
-  auto& leader = cluster.leader_of("stream", 0);
-  const std::int32_t partition = cluster.partition_id("stream", 0);
-
-  net::Link::Config link_config;
-  link_config.bandwidth_bps = tb::kLinkBandwidthBps;
-  link_config.queue_capacity = tb::kLinkQueueCapacity;
-  net::DuplexLink link(sim, link_config,
-                       std::make_shared<net::ConstantDelay>(tb::kBaseLanDelay),
-                       std::make_shared<net::NoLoss>(),
-                       std::make_shared<net::ConstantDelay>(tb::kBaseLanDelay),
-                       std::make_shared<net::NoLoss>(), "dyn-link");
-  net::NetEm netem(sim, link, net::NetEm::Direction::kForward,
-                   tb::kBaseLanDelay);
-  netem.replay(trace);
-
-  tcp::Config tconf;
-  tconf.send_buffer = tb::kTcpSendBuffer;
-  tconf.receive_window = tb::kTcpReceiveWindow;
-  tconf.rto_min = tb::kTcpRtoMin;
-  tconf.rto_max = tb::kTcpRtoMax;
-  tconf.max_consecutive_rtos = tb::kTcpMaxConsecutiveRtos;
-  tcp::Pair conn(sim, tconf, link, "dyn-conn");
-  leader.attach(conn.server);
-
-  // Workload-driven real-time source for the length of the trace.
-  kafka::Source::Config source_config;
-  source_config.total_messages = static_cast<std::uint64_t>(
-      trace.total_duration() / std::max<Duration>(1, workload.emit_interval));
-  source_config.message_size = workload.message_size;
-  source_config.size_jitter = workload.size_jitter;
-  source_config.emit_interval = workload.emit_interval;
-  source_config.buffer_capacity = tb::kSourceRingCapacity;
-  kafka::Source source(sim, source_config);
-
-  auto pconf = kafka::ProducerConfig::for_semantics(semantics);
-  pconf.serialize_base = tb::kSerializeBase;
-  pconf.serialize_per_byte_us = tb::kSerializePerByteUs;
-  pconf.max_queued_records = tb::kFloodQueueCapacity;
-  pconf.ack_window = tb::kAckWindow;
-  if (schedule != nullptr && !schedule->empty()) {
-    pconf.batch_size = schedule->front().params.batch_size;
-    pconf.poll_interval = schedule->front().params.poll_interval;
-    pconf.message_timeout = schedule->front().params.message_timeout;
+void follow_schedule(testbed::Scenario& scenario,
+                     std::vector<ScheduleEntry> schedule) {
+  if (schedule.empty()) return;
+  schedule.front().params.apply_to(scenario);
+  Duration spacing = 0;
+  for (std::size_t i = 1; i < schedule.size(); ++i) {
+    spacing = std::gcd(spacing, schedule[i].start);
   }
-  kafka::Producer producer(sim, pconf, conn.client, source, partition);
-
-  if (schedule != nullptr) {
-    for (const auto& entry : *schedule) {
-      if (entry.start == 0) continue;  // Applied via the initial config.
-      sim.at(entry.start, [&producer, entry] {
-        producer.reconfigure(entry.params.batch_size, /*linger=*/0,
-                             entry.params.poll_interval,
-                             entry.params.message_timeout);
-      });
-      ++result.reconfigurations;
-    }
-  }
-
-  // Online controller: tick on sim time, sample the live connection and
-  // producer through the same sample_telemetry() as run_experiment, apply
-  // what the policy decides.
-  std::function<void()> online_tick = [&] {
-    if (producer.finished()) return;  // Drain phase: nothing left to tune.
-    const auto decision = online->tick(
-        sim.now(), testbed::sample_telemetry({&producer}, {&conn.client}));
-    if (decision.evaluated) {
-      ++result.online_evaluations;
-      if (decision.apply) {
-        ++result.reconfigurations;
-        producer.reconfigure(decision.batch_size, producer.config().linger,
-                             decision.poll_interval,
-                             decision.message_timeout);
-      } else {
-        ++result.online_suppressed;
-      }
-    }
-    sim.after(online->interval(), online_tick);
+  if (spacing <= 0) return;
+  scenario.adaptive_enabled = true;
+  scenario.adaptive_factory = [schedule = std::move(schedule),
+                               spacing](const testbed::Scenario&) {
+    return std::make_unique<ScheduleDriver>(schedule, spacing);
   };
-  if (online != nullptr) sim.after(online->interval(), online_tick);
-
-  cluster.start();
-  source.start();
-  producer.start();
-
-  const TimePoint cap = trace.total_duration() + seconds(60);
-  while (!producer.finished() && sim.now() < cap) {
-    sim.run(sim.now() + seconds(1));
-  }
-  result.completed = producer.finished();
-  const TimePoint finish = sim.now();
-  sim.run(finish + tb::kDrainGrace);
-
-  result.census = cluster.census("stream", source.total_messages());
-  result.overall_loss_rate = result.census.p_loss();
-  result.overall_duplicate_rate = result.census.p_duplicate();
-  result.duration_s = to_seconds(finish);
-  result.events = sim.events_executed();
-
-  const auto perf = predict_performance(workload.message_size,
-                                        pconf.batch_size,
-                                        pconf.poll_interval);
-  result.measured_gamma =
-      weighted_kpi(link.a_to_b.utilization(), perf.mu_normalized,
-                   result.overall_loss_rate, result.overall_duplicate_rate,
-                   weights);
-  return result;
 }
 
 }  // namespace ks::kpi

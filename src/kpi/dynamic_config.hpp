@@ -2,22 +2,19 @@
 //
 // Given a known network trace (Fig. 9: Pareto delay + Gilbert-Elliott
 // loss), the configurator builds an offline per-interval schedule of
-// producer parameters by stepwise search on the predicted weighted KPI,
-// then the runner replays trace + schedule against a live producer and
-// measures the overall loss/duplicate rates R_l and R_d of Eq. (3)
-// (equivalently: the key census over the whole run).
+// producer parameters by stepwise search on the predicted weighted KPI.
+// `follow_schedule` replays it on a `testbed::replay_scenario` run, whose
+// key census gives the overall loss/duplicate rates R_l, R_d of Eq. (3).
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "common/types.hpp"
-#include "kafka/cluster.hpp"
 #include "kafka/producer.hpp"
 #include "kpi/kpi.hpp"
 #include "kpi/predictor.hpp"
 #include "net/trace.hpp"
-#include "testbed/adaptive.hpp"
+#include "testbed/scenario.hpp"
 #include "testbed/workloads.hpp"
 
 namespace ks::kpi {
@@ -28,6 +25,9 @@ struct DynamicParams {
   int batch_size = 1;
   Duration poll_interval = 0;
   Duration message_timeout = millis(1500);
+
+  /// Set B, delta and T_o on `scenario`.
+  void apply_to(testbed::Scenario& scenario) const;
 };
 
 struct ScheduleEntry {
@@ -89,32 +89,12 @@ class DynamicConfigurator {
   double gamma_requirement_;
 };
 
-/// Table II runner: replay a trace against a workload, optionally applying
-/// a dynamic schedule (nullptr => static configuration throughout).
-struct DynamicRunResult {
-  double overall_loss_rate = 0.0;       ///< R_l.
-  double overall_duplicate_rate = 0.0;  ///< R_d.
-  kafka::Cluster::CensusResult census;
-  double measured_gamma = 0.0;          ///< From measured phi/mu/R_l/R_d.
-  double duration_s = 0.0;
-  std::uint64_t events = 0;             ///< Simulated events executed.
-  std::uint64_t reconfigurations = 0;
-  /// Online arm only: decisions past the confidence gate + cooldown
-  /// (applied reconfigurations land in `reconfigurations`).
-  std::uint64_t online_evaluations = 0;
-  std::uint64_t online_suppressed = 0;
-  bool completed = false;
-};
-
-/// `online` (exclusive with `schedule`) attaches a live controller: the
-/// driver is ticked on sim time with real transport/producer telemetry
-/// and its applied decisions retune the producer mid-run — the paper's
-/// Section-V loop without trace foreknowledge. Pass a FRESH driver per
-/// run; controller state is part of the run.
-DynamicRunResult run_dynamic_experiment(
-    const net::NetworkTrace& trace, const testbed::Workload& workload,
-    kafka::DeliverySemantics semantics,
-    const std::vector<ScheduleEntry>* schedule, KpiWeights weights,
-    std::uint64_t seed, testbed::AdaptiveDriver* online = nullptr);
+/// Table II's offline-oracle arm: run `scenario` with the first entry's
+/// parameters from t = 0 and apply each later entry at its start time,
+/// through a driver behind `scenario.adaptive_factory` that ticks on the
+/// entries' common spacing. A schedule with no later entry has nothing to
+/// apply and leaves the controller off.
+void follow_schedule(testbed::Scenario& scenario,
+                     std::vector<ScheduleEntry> schedule);
 
 }  // namespace ks::kpi

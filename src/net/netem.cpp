@@ -68,12 +68,6 @@ void NetEm::set_bandwidth_at(TimePoint t, double bandwidth_bps) {
   });
 }
 
-void NetEm::replay(const NetworkTrace& trace) {
-  for (const auto& p : trace.points) {
-    apply_at(p.start, p.delay, p.loss_rate);
-  }
-}
-
 void NetEm::clear() { install(0, std::make_shared<NoLoss>()); }
 
 }  // namespace ks::net

@@ -1,6 +1,6 @@
 // NetEm-style fault injection: attach impairments (delay + loss) to a link
-// and change them over simulated time, either from explicit steps or by
-// replaying a NetworkTrace.
+// and change them over simulated time in explicit steps. (A NetworkTrace is
+// replayed as a testbed fault schedule, one step per trace point.)
 //
 // Matching the paper's testbed, impairments are applied to the producer's
 // egress (producer -> cluster direction) by default; the reverse direction
@@ -10,7 +10,6 @@
 #include <memory>
 
 #include "net/link.hpp"
-#include "net/trace.hpp"
 #include "sim/simulation.hpp"
 
 namespace ks::net {
@@ -41,9 +40,6 @@ class NetEm {
   /// Schedule a line-rate change at `t` (0 restores the construction-time
   /// bandwidth). Applied to the impaired direction(s).
   void set_bandwidth_at(TimePoint t, double bandwidth_bps);
-
-  /// Replay a whole trace: one apply_at per interval.
-  void replay(const NetworkTrace& trace);
 
   /// Remove impairments (back to base delay 0 / no loss).
   void clear();

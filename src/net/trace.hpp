@@ -3,8 +3,8 @@
 // The paper (Fig. 9) drives the producer-to-cluster connection with a
 // network whose delay follows a Pareto distribution and whose packet-loss
 // rate comes from a Gilbert-Elliott two-state chain. We generate such a
-// trace as a sequence of fixed-interval samples, which can then be replayed
-// onto a Link via NetEm.
+// trace as a sequence of fixed-interval samples, which the testbed replays
+// as a fault schedule of NetEm steps (testbed::replay_scenario).
 #pragma once
 
 #include <cstddef>

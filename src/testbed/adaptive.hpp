@@ -1,27 +1,19 @@
-// Type-erased bridge between the testbed runner and an online
-// reconfiguration policy (the Section-V control loop, implemented in
-// src/kpi/online_controller.*). The testbed cannot include kpi headers —
-// ks_kpi links ks_testbed, so the dependency must point one way — so the
-// runner talks to the policy through this plain-data interface: each tick
-// it snapshots live transport/producer telemetry into AdaptiveTelemetry,
-// hands it to the driver, and applies the returned AdaptiveDecision to the
-// live producers.
+// Type-erased bridge between the testbed runner and a reconfiguration
+// policy: the Section-V online control loop (src/kpi/online_controller.*)
+// or an offline schedule (kpi::follow_schedule). The testbed cannot include
+// kpi headers — ks_kpi links ks_testbed, so the dependency must point one
+// way — so the runner talks to the policy through this plain-data
+// interface: each tick it snapshots live transport/producer telemetry into
+// AdaptiveTelemetry, hands it to the driver, and applies the returned
+// AdaptiveDecision to the live producers.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/types.hpp"
-
-namespace ks::kafka {
-class Producer;
-}
-namespace ks::tcp {
-class Endpoint;
-}
 
 namespace ks::testbed {
 
@@ -48,15 +40,6 @@ struct AdaptiveTelemetry {
   Duration poll_interval = 0;
   Duration message_timeout = 0;
 };
-
-/// Snapshot the telemetry for one controller tick. TCP counters are summed
-/// over every producer connection, idle failover connections included, so
-/// they stay monotone for the driver's differencing; SRTT is the largest
-/// among the producers' current connections. Producer counters are summed
-/// over all producers; the live parameters are the first producer's.
-AdaptiveTelemetry sample_telemetry(
-    const std::vector<const kafka::Producer*>& producers,
-    const std::vector<const tcp::Endpoint*>& connections);
 
 /// What the policy decided on one tick. `evaluated` is false while the
 /// estimator is still confidence-gated (not enough samples) or the

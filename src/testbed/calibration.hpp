@@ -44,13 +44,6 @@ constexpr Duration full_load_interval(Bytes message_size) noexcept {
                                static_cast<double>(message_size));
 }
 
-/// Source ring buffer: how much upstream data can wait for a slow producer
-/// before the stream overruns (sensor-style overwrite).
-inline constexpr std::size_t kSourceRingCapacity = 6000;
-
-inline constexpr std::size_t kFloodQueueCapacity = 100000;
-inline constexpr std::size_t kAckWindow = 1000;
-
 // --- broker -----------------------------------------------------------------
 inline constexpr Duration kBrokerRequestOverhead = micros(2000);
 inline constexpr double kBrokerAppendPerByteUs = 0.1;

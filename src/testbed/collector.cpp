@@ -46,6 +46,14 @@ std::size_t Collector::abnormal_grid_size() const {
          config_.semantics.size() * static_cast<std::size_t>(config_.repeats);
 }
 
+ExperimentResult Collector::run(const Scenario& scenario) {
+  auto r = run_experiment(scenario);
+  sim_seconds_ += r.duration_s;
+  sim_events_ += r.events;
+  ++runs_;
+  return r;
+}
+
 ann::Dataset Collector::collect_normal() {
   ann::Dataset ds;
   std::size_t done = 0;
@@ -65,7 +73,7 @@ ann::Dataset Collector::collect_normal() {
               sc.batch_size = b;
               sc.num_messages = config_.num_messages;
               sc.seed = seed++;
-              const auto r = run_experiment(sc);
+              const auto r = run(sc);
               ds.add(sc.normal_features(), {r.p_loss, r.p_duplicate});
               if (on_progress) on_progress(++done, total);
             }
@@ -100,7 +108,7 @@ ann::Dataset Collector::collect_abnormal() {
               sc.poll_interval = 0;
               sc.num_messages = config_.num_messages;
               sc.seed = seed++;
-              const auto r = run_experiment(sc);
+              const auto r = run(sc);
               ds.add(sc.abnormal_features(), {r.p_loss, r.p_duplicate});
               if (on_progress) on_progress(++done, total);
             }

@@ -63,8 +63,19 @@ class Collector {
   std::size_t normal_grid_size() const;
   std::size_t abnormal_grid_size() const;
 
+  /// Work of every run so far: simulated seconds, events and runs.
+  double sim_seconds() const noexcept { return sim_seconds_; }
+  std::uint64_t sim_events() const noexcept { return sim_events_; }
+  std::uint64_t runs() const noexcept { return runs_; }
+
  private:
+  /// Run one grid point and add its work to the totals.
+  ExperimentResult run(const Scenario& scenario);
+
   CollectorConfig config_;
+  double sim_seconds_ = 0.0;
+  std::uint64_t sim_events_ = 0;
+  std::uint64_t runs_ = 0;
 };
 
 }  // namespace ks::testbed

@@ -360,6 +360,7 @@ void build_topology(Testbed& tb) {
   kafka::Source::Config source_config;
   source_config.total_messages = sc.num_messages;
   source_config.message_size = sc.message_size;
+  source_config.size_jitter = sc.message_size_jitter;
   // Scale the upstream ring with the run size (like the producer queue) so
   // scaled-down runs keep the paper's buffering:N proportions.
   source_config.buffer_capacity =
@@ -677,16 +678,44 @@ void probe_health(Testbed& tb) {
   health.evaluate(t);
 }
 
+// Telemetry for one controller tick. TCP counters are summed over every
+// producer connection, idle failover connections included, so they stay
+// monotone for the driver's differencing; SRTT is the largest among the
+// producers' current connections. Producer counters are summed over all
+// producers; the live parameters are the first producer's.
+AdaptiveTelemetry sample_telemetry(const Testbed& tb) {
+  AdaptiveTelemetry t;
+  for (const auto& c : tb.producer_conns) {
+    const auto& s = c.pair->client.stats();
+    t.segments_sent += s.segments_sent;
+    t.data_segments_sent += s.data_segments_sent;
+    t.retransmissions += s.retransmissions;
+    t.rto_events += s.rto_events;
+  }
+  for (const auto& p : tb.producers) {
+    t.smoothed_rtt = std::max(t.smoothed_rtt, p->connection().smoothed_rtt());
+    const auto& s = p->stats();
+    t.records_acked += s.records_acked;
+    t.records_retried += s.requests_retried;
+    t.records_timed_out += s.records_failed;
+  }
+  const auto& live = tb.producers.front()->config();
+  t.batch_size = live.batch_size;
+  t.poll_interval = live.poll_interval;
+  t.message_timeout = live.message_timeout;
+  return t;
+}
+
 // Online adaptive controller tick: snapshot live transport/producer
 // telemetry, let the policy decide, and apply the chosen parameters to every
 // live producer. Each evaluated decision (applied or suppressed) lands on the
 // cluster timeline as a `reconfigure` event, so ks_explain can narrate why
 // the configuration changed (or deliberately did not).
-void tick_adaptive(Testbed& tb, const AdaptiveTelemetry& telemetry) {
+void tick_adaptive(Testbed& tb) {
   auto& r = tb.result;
   const TimePoint t = tb.sim.now();
   ++r.adaptive_ticks;
-  const auto decision = tb.adaptive->tick(t, telemetry);
+  const auto decision = tb.adaptive->tick(t, sample_telemetry(tb));
   if (decision.evaluated) {
     ++r.adaptive_evaluations;
     if (decision.apply) {
@@ -726,18 +755,14 @@ void start_monitors(Testbed& tb) {
     tb.adaptive = sc.adaptive_factory(sc);
   }
   if (!tb.adaptive) return;
-  std::vector<const kafka::Producer*> producers;
-  for (const auto& pr : tb.producers) producers.push_back(pr.get());
-  std::vector<const tcp::Endpoint*> conns;
-  for (const auto& c : tb.producer_conns) conns.push_back(&c.pair->client);
-  tb.adaptive_tick = [&tb, producers, conns] {
+  tb.adaptive_tick = [&tb] {
     // The controller's job ends with the message run: once any producer has
     // finished there is nothing left to retune, and ticking through the
     // drain grace would break the duration/cooldown no-thrash bound.
-    for (const auto* pr : producers) {
+    for (const auto& pr : tb.producers) {
       if (pr->finished()) return;
     }
-    tick_adaptive(tb, sample_telemetry(producers, conns));
+    tick_adaptive(tb);
   };
   tb.result.adaptive_cooldown = tb.adaptive->cooldown();
   tb.sim.after(tb.adaptive->interval(), tb.adaptive_tick);

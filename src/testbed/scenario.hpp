@@ -68,6 +68,7 @@ enum class SourceMode {
 struct Scenario {
   // --- streaming-data type --------------------------------------------------
   Bytes message_size = 200;            ///< M, bytes.
+  Bytes message_size_jitter = 0;       ///< Uniform +/- jitter on M.
   Duration timeliness = seconds(5);    ///< S: staleness bound (reporting/KPI).
   SourceMode source_mode = SourceMode::kRealTime;
 

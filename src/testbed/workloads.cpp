@@ -1,5 +1,7 @@
 #include "testbed/workloads.hpp"
 
+#include <algorithm>
+
 namespace ks::testbed {
 
 Workload social_media() {
@@ -36,6 +38,24 @@ Workload game_traffic() {
   w.emit_interval = micros(4000);
   w.weights = {0.2, 0.4, 0.2, 0.2};
   return w;
+}
+
+Scenario replay_scenario(const Workload& workload,
+                         const net::NetworkTrace& trace) {
+  Scenario s;
+  s.message_size = workload.message_size;
+  s.message_size_jitter = workload.size_jitter;
+  s.timeliness = workload.timeliness;
+  s.source_interval = workload.emit_interval;
+  s.num_messages = static_cast<std::uint64_t>(
+      trace.total_duration() / std::max<Duration>(1, workload.emit_interval));
+  for (const auto& p : trace.points) {
+    s.faults.push_back({.at = p.start,
+                        .kind = FaultAction::Kind::kNetem,
+                        .delay = p.delay,
+                        .loss = p.loss_rate});
+  }
+  return s;
 }
 
 }  // namespace ks::testbed

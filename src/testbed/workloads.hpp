@@ -1,11 +1,14 @@
 // The three data streams of the paper's dynamic-configuration experiment
-// (Table II), with their suggested KPI weights.
+// (Table II), with their suggested KPI weights, and the Scenario that
+// replays one of them over a Fig. 9 network trace.
 #pragma once
 
 #include <array>
 #include <string>
 
 #include "common/types.hpp"
+#include "net/trace.hpp"
+#include "testbed/scenario.hpp"
 
 namespace ks::testbed {
 
@@ -28,5 +31,12 @@ Workload web_access_records();
 
 /// Online-game traffic: tiny messages, strict real-time accuracy.
 Workload game_traffic();
+
+/// A Table II run: `workload`'s stream on a real-time source for the length
+/// of `trace`, and one kNetem fault step per trace point. The run's fault
+/// stage adds the LAN base delay to each step, as it does to every D. B,
+/// delta and T_o stay at the Scenario defaults; the caller sets them.
+Scenario replay_scenario(const Workload& workload,
+                         const net::NetworkTrace& trace);
 
 }  // namespace ks::testbed

@@ -63,18 +63,6 @@ TEST(Source, SizeJitterStaysPositive) {
   }
 }
 
-TEST(Source, IntervalFnDrivesEmission) {
-  sim::Simulation sim(1);
-  Source::Config config;
-  config.total_messages = 20;
-  config.emit_interval = millis(1);  // Enables real-time mode.
-  config.interval_fn = [](TimePoint) { return millis(100); };
-  Source source(sim, config);
-  source.start();
-  sim.run(millis(550));
-  EXPECT_EQ(source.buffered(), 6u);  // t=0,100,...,500.
-}
-
 TEST(Broker, ServesFetchAfterProduce) {
   RigConfig config;
   config.messages = 100;

@@ -1,16 +1,22 @@
 // KPI-layer tests: weighted KPI, performance model, ANN-backed predictor,
-// the dynamic configurator and the online controller stack.
+// the dynamic configurator, the online controller stack and Table II's
+// three arms on the testbed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <string>
 
+#include "chaos/generator.hpp"
+#include "chaos/invariants.hpp"
 #include "kpi/condition_estimator.hpp"
 #include "kpi/dynamic_config.hpp"
 #include "kpi/kpi.hpp"
 #include "kpi/online_controller.hpp"
 #include "kpi/perf_model.hpp"
 #include "kpi/predictor.hpp"
+#include "testbed/experiment.hpp"
 #include "testbed/workloads.hpp"
 
 namespace ks::kpi {
@@ -463,24 +469,91 @@ TEST_F(TrainedPredictor, LoadFailureIsAtomic) {
   EXPECT_NEAR(before.p_duplicate, after.p_duplicate, 0.0);
 }
 
-TEST_F(TrainedPredictor, DynamicRunSmoke) {
+// Table II on the one testbed: the trace is the Scenario's fault schedule
+// and the offline schedule an adaptive driver. Game traffic over the
+// bench's 240 s Fig. 9 trace, on the synthetic predictor.
+TEST(TableII, ThreeArmsRunOnTheTestbed) {
   net::TraceGenConfig tconf;
-  tconf.duration = seconds(30);
-  Rng rng(45);
-  const auto trace = net::generate_trace(tconf, rng);
-  auto workload = testbed::game_traffic();
-  workload.emit_interval = millis(2);  // Keep the run small.
-  const auto result = run_dynamic_experiment(
-      trace, workload, kafka::DeliverySemantics::kAtLeastOnce, nullptr,
-      KpiWeights::defaults(), 7);
-  EXPECT_EQ(result.census.total_keys,
-            static_cast<std::uint64_t>(seconds(30) / millis(2)));
-  EXPECT_GE(result.overall_loss_rate, 0.0);
-  EXPECT_LE(result.overall_loss_rate, 1.0);
-  EXPECT_GT(result.measured_gamma, 0.0);
-  // Every message is at least one source event; benches account these.
-  EXPECT_GT(result.events, result.census.total_keys);
-  EXPECT_GT(result.duration_s, 0.0);
+  tconf.duration = seconds(240);
+  Rng trace_rng(90001);
+  const auto trace = net::generate_trace(tconf, trace_rng);
+  const auto workload = testbed::game_traffic();
+  const auto weights = KpiWeights::from_array(workload.weights);
+  const auto semantics = kafka::DeliverySemantics::kAtLeastOnce;
+
+  auto fixed = testbed::replay_scenario(workload, trace);
+  EXPECT_EQ(fixed.num_messages, 60000u);
+  EXPECT_EQ(fixed.source_interval, workload.emit_interval);
+  EXPECT_EQ(fixed.message_size_jitter, workload.size_jitter);
+  ASSERT_EQ(fixed.faults.size(), trace.points.size());
+  for (std::size_t i = 0; i < trace.points.size(); ++i) {
+    const auto& f = fixed.faults[i];
+    EXPECT_EQ(f.kind, testbed::FaultAction::Kind::kNetem);
+    EXPECT_EQ(f.at, trace.points[i].start);
+    EXPECT_EQ(f.delay, trace.points[i].delay);
+    EXPECT_EQ(f.loss, trace.points[i].loss_rate);
+  }
+  fixed.semantics = semantics;
+  fixed.seed = 4242;
+  DynamicParams{}.apply_to(fixed);
+
+  const DynamicConfigurator configurator(synthetic_predictor(), weights, 0.97);
+  const auto schedule =
+      configurator.build_schedule(trace, seconds(60), workload, semantics);
+  ASSERT_EQ(schedule.size(), 4u);
+  auto oracle = fixed;
+  follow_schedule(oracle, schedule);
+  EXPECT_EQ(oracle.batch_size, schedule.front().params.batch_size);
+  ASSERT_TRUE(oracle.adaptive_enabled);
+  EXPECT_EQ(oracle.adaptive_factory(oracle)->interval(), seconds(60));
+
+  OnlineController::Config occ;
+  occ.interval = seconds(1);
+  occ.cooldown = seconds(15);
+  auto live = fixed;
+  live.adaptive_enabled = true;
+  live.adaptive_factory =
+      online_adaptive_factory(synthetic_predictor(), weights, 0.97, occ);
+
+  const auto run_checked = [](const testbed::Scenario& sc) {
+    auto r = testbed::run_experiment(sc);
+    chaos::ChaosScenario cs;
+    cs.scenario = sc;
+    for (const auto& v : chaos::check_invariants(cs, r)) {
+      ADD_FAILURE() << v.invariant << ": " << v.detail;
+    }
+    return r;
+  };
+  const auto def = run_checked(fixed);
+  const auto dyn = run_checked(oracle);
+  const auto online = run_checked(live);
+
+  const auto count_kind = [](const testbed::ExperimentResult& r,
+                             const std::string& kind) {
+    return static_cast<std::size_t>(std::count_if(
+        r.report.timeline.begin(), r.report.timeline.end(),
+        [&](const auto& e) { return e.kind == kind; }));
+  };
+  EXPECT_EQ(count_kind(def, "fault_injected"), trace.points.size());
+  EXPECT_EQ(def.report.timeline_dropped, 0u);
+  EXPECT_EQ(def.adaptive_ticks, 0u);
+  EXPECT_EQ(dyn.adaptive_reconfigurations, schedule.size() - 1);
+  EXPECT_EQ(count_kind(dyn, "reconfigure"), schedule.size() - 1);
+  EXPECT_EQ(testbed::run_experiment(oracle).report.canonical_json(),
+            dyn.report.canonical_json());
+  EXPECT_LT(dyn.p_loss, def.p_loss);
+  EXPECT_LT(online.p_loss, def.p_loss);
+}
+
+TEST(TableII, OneEntryScheduleLeavesTheControllerOff) {
+  testbed::Scenario sc;
+  ScheduleEntry only;
+  only.params = {5, millis(1), millis(3000)};
+  follow_schedule(sc, {only});
+  EXPECT_EQ(sc.batch_size, 5);
+  EXPECT_EQ(sc.poll_interval, millis(1));
+  EXPECT_EQ(sc.message_timeout, millis(3000));
+  EXPECT_FALSE(sc.adaptive_enabled);
 }
 
 }  // namespace

@@ -406,6 +406,10 @@ TEST(Collector, TinyGridProducesDatasets) {
     EXPECT_GE(abnormal.y(r, 0), 0.0);
     EXPECT_LE(abnormal.y(r, 0), 1.0);
   }
+  // The collector totals the work of every run it made.
+  EXPECT_EQ(collector.runs(), 4u);
+  EXPECT_GT(collector.sim_seconds(), 0.0);
+  EXPECT_GT(collector.sim_events(), 4u * config.num_messages);
 }
 
 TEST(Workloads, PresetsAreDistinctAndWeighted) {
