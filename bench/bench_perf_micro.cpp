@@ -63,6 +63,26 @@ void BM_SimTimerChain(benchmark::State& state) {
 }
 BENCHMARK(BM_SimTimerChain);
 
+// The RTO pattern: every event re-arms one Timer 200 ms out, with 40
+// far-future events pending (a replicated group run's mean live depth).
+void BM_TimerRearm(benchmark::State& state) {
+  sim::Simulation sim(1);
+  for (int i = 0; i < 40; ++i) sim.at(seconds(1'000'000) + i, [] {});
+  sim::Timer rto(sim);
+  struct Ack {
+    sim::Simulation* sim;
+    sim::Timer* rto;
+    void operator()() const {
+      rto->arm(millis(200), [] {});
+      sim->after(micros(1), *this);
+    }
+  };
+  sim.after(micros(1), Ack{&sim, &rto});
+  for (auto _ : state) benchmark::DoNotOptimize(sim.step());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TimerRearm);
+
 void BM_ProducerPipeline(benchmark::State& state) {
   // End-to-end messages/second through source->producer->tcp->broker.
   for (auto _ : state) {

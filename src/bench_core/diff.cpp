@@ -92,9 +92,12 @@ void diff_points(const Artifact& base, const Artifact& cur,
 
 }  // namespace
 
-bool DiffReport::has_regressions() const noexcept {
+bool DiffReport::has_regressions(bool warn_only) const noexcept {
   for (const auto& f : findings) {
-    if (failing(f.kind)) return true;
+    if (failing(f.kind) &&
+        !(warn_only && f.kind == FindingKind::kTimingRegression)) {
+      return true;
+    }
   }
   return false;
 }

@@ -56,8 +56,10 @@ struct DiffReport {
   int point_metrics_compared = 0;
 
   /// True when any finding should fail a gating run: timing regressions,
-  /// result drift, or missing benches.
-  bool has_regressions() const noexcept;
+  /// result drift, or missing benches. `warn_only` leaves out the timing
+  /// regressions, which depend on the host; drift and a missing bench are
+  /// deterministic and still count.
+  bool has_regressions(bool warn_only = false) const noexcept;
 };
 
 /// Compare two artifact sets, keyed by bench name. Benches present only

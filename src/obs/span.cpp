@@ -37,10 +37,9 @@ void SpanTracer::configure(std::size_t capacity, std::uint64_t sample_every) {
   if (enabled()) ring_.reserve(std::min<std::size_t>(capacity_, 1024));
 }
 
-SpanId SpanTracer::begin(TimePoint t, SpanKind kind, std::int32_t track,
-                         SpanId parent, std::uint64_t key,
-                         std::int64_t detail) {
-  if (sample_every_ == 0) return 0;
+SpanId SpanTracer::record(TimePoint t, SpanKind kind, std::int32_t track,
+                          SpanId parent, std::uint64_t key,
+                          std::int64_t detail) {
   if (parent == 0) {
     if (!sampled(key)) return 0;
   } else if (key == kNoKey) {
@@ -63,8 +62,7 @@ SpanId SpanTracer::begin(TimePoint t, SpanKind kind, std::int32_t track,
   return span.id;
 }
 
-void SpanTracer::end(TimePoint t, SpanId id) {
-  if (id == 0) return;
+void SpanTracer::close(TimePoint t, SpanId id) {
   const auto it = open_.find(id);
   if (it == open_.end()) return;
   Span span = it->second;

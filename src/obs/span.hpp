@@ -87,14 +87,20 @@ class SpanTracer {
 
   /// Open a span. Roots (parent == 0) are recorded iff `key` is sampled;
   /// children (parent != 0) are always recorded and inherit the parent's
-  /// key when none is given. Returns 0 when nothing was recorded.
+  /// key when none is given. Returns 0 when nothing was recorded. Inline,
+  /// so that a disabled tracer costs its call sites one branch, no call.
   SpanId begin(TimePoint t, SpanKind kind, std::int32_t track,
                SpanId parent = 0, std::uint64_t key = kNoKey,
-               std::int64_t detail = 0);
+               std::int64_t detail = 0) {
+    if (sample_every_ == 0) return 0;
+    return record(t, kind, track, parent, key, detail);
+  }
 
   /// Close a span (no-op for id 0 / unknown ids). The variant with
   /// `detail` overwrites the value given at begin().
-  void end(TimePoint t, SpanId id);
+  void end(TimePoint t, SpanId id) {
+    if (id != 0) close(t, id);
+  }
   void end(TimePoint t, SpanId id, std::int64_t detail);
 
   /// Discard an open span that turned out not to happen (e.g. a produce
@@ -116,6 +122,9 @@ class SpanTracer {
   std::vector<Span> spans() const;
 
  private:
+  SpanId record(TimePoint t, SpanKind kind, std::int32_t track,
+                SpanId parent, std::uint64_t key, std::int64_t detail);
+  void close(TimePoint t, SpanId id);
   void complete(Span span);
 
   std::map<SpanId, Span> open_;  ///< Keyed by id; ids are monotonic.

@@ -1,13 +1,12 @@
 // Priority queue of timestamped events with stable FIFO ordering among
-// events scheduled for the same instant, plus O(1) cancellation.
+// events scheduled for the same instant. It holds only pending events:
+// cancelling or rescheduling one moves its heap entry in O(log n).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <new>
-#include <queue>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -113,18 +112,25 @@ using EventId = std::uint64_t;
 class EventQueue {
  public:
   /// Enqueue `fn` to run at time `t`. Events at equal `t` run in insertion
-  /// order. Returns a handle usable with `cancel`.
+  /// order. Returns a handle usable with `cancel` and `reschedule`.
   EventId push(TimePoint t, Callback fn);
 
-  /// Cancel a pending event, destroying its callable at once. Returns false
-  /// if it already ran, was already cancelled, or the id is unknown.
+  /// Cancel a pending event, removing it and destroying its callable at
+  /// once. Returns false if it already ran, was already cancelled, or the
+  /// id is unknown.
   bool cancel(EventId id);
 
-  bool empty() const noexcept { return size() == 0; }
-  std::size_t size() const noexcept { return slots_.size() - free_.size(); }
+  /// Move a pending event to time `t`, keeping its callable and id. It
+  /// runs after every event already scheduled at `t`, exactly as if it had
+  /// been cancelled and pushed again. Returns false, changing nothing, for
+  /// an id that `cancel` would reject.
+  bool reschedule(EventId id, TimePoint t);
+
+  bool empty() const noexcept { return heap_.empty(); }
+  std::size_t size() const noexcept { return heap_.size(); }
 
   /// Time of the earliest pending event. Undefined when empty.
-  TimePoint next_time();
+  TimePoint next_time() const;
 
   /// Pop and return the earliest event. Undefined when empty.
   struct Popped {
@@ -133,35 +139,41 @@ class EventQueue {
   };
   Popped pop();
 
-  std::uint64_t total_pushed() const noexcept { return next_seq_; }
-
  private:
-  /// A scheduled event's callable. `gen` advances when the slot is taken
-  /// (to an odd value) and again when it is freed (to an even one), so ids
-  /// and heap entries naming an earlier occupant no longer match it.
+  /// A scheduled event's callable and the index of its heap entry. `gen`
+  /// advances when the slot is taken (to an odd value) and again when it
+  /// is freed (to an even one), so ids naming an earlier occupant no
+  /// longer match it.
   struct Slot {
     Callback fn;
     std::uint32_t gen = 0;
+    std::uint32_t pos = 0;
   };
   struct Entry {
     TimePoint time;
     std::uint64_t seq;
     std::uint32_t slot;
-    std::uint32_t gen;
-
-    bool operator>(const Entry& other) const noexcept {
-      if (time != other.time) return time > other.time;
-      return seq > other.seq;
-    }
   };
+  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
-  bool stale(const Entry& e) const noexcept {
-    return slots_[e.slot].gen != e.gen;
+  static bool before(const Entry& a, const Entry& b) noexcept {
+    return a.time != b.time ? a.time < b.time : a.seq < b.seq;
   }
+  /// The slot of the pending event `id` names, or kNoSlot.
+  std::uint32_t pending_slot(EventId id) const noexcept;
   void release(std::uint32_t slot);
-  void drop_stale();
+  void erase_at(std::size_t i);
+  /// Put `e` in the heap through the vacant index `hole`, sifting it up
+  /// or down to where its key belongs.
+  void settle(std::size_t hole, const Entry& e);
+  void sift_up(std::size_t hole, const Entry& e);
+  void sift_down(std::size_t hole, const Entry& e);
+  void place(std::size_t i, const Entry& e) {
+    heap_[i] = e;
+    slots_[e.slot].pos = static_cast<std::uint32_t>(i);
+  }
 
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
+  std::vector<Entry> heap_;  ///< Binary min-heap on (time, seq).
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;
   std::uint64_t next_seq_ = 0;

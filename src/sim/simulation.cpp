@@ -63,10 +63,13 @@ std::uint64_t Simulation::run(TimePoint until) {
 }
 
 void Timer::arm(Duration delay, Callback fn) {
-  cancel();
-  fn_ = std::move(fn);
+  fn_ = std::move(fn);  // Releases the old callback at once.
   deadline_ = sim_->now() + std::max<Duration>(delay, 0);
-  id_ = sim_->at(deadline_, [this] { fire(); });
+  // A pending expiry keeps its thunk and moves to the new deadline, in the
+  // order a cancel and a fresh push would give it.
+  if (id_ == 0 || !sim_->queue_.reschedule(id_, deadline_)) {
+    id_ = sim_->at(deadline_, [this] { fire(); });
+  }
 }
 
 void Timer::fire() {

@@ -92,12 +92,14 @@ class Simulation {
   obs::Gauge m_pending_;
   obs::Gauge m_wall_us_per_sim_s_;
   obs::CollectorHandle metrics_collector_;
+
+  friend class Timer;  // Re-arms its pending expiry in place.
 };
 
-/// A restartable one-shot timer bound to a Simulation. Rearming cancels any
-/// pending expiry. Destruction cancels too, so components can hold timers
-/// by value without dangling callbacks. The timer owns its callback and
-/// schedules only a pointer-sized thunk that runs it.
+/// A restartable one-shot timer bound to a Simulation. Rearming moves any
+/// pending expiry to the new deadline. Destruction cancels, so components
+/// can hold timers by value without dangling callbacks. The timer owns its
+/// callback and schedules only a pointer-sized thunk that runs it.
 class Timer {
  public:
   explicit Timer(Simulation& sim) : sim_(&sim) {}
@@ -106,7 +108,8 @@ class Timer {
   Timer(const Timer&) = delete;
   Timer& operator=(const Timer&) = delete;
 
-  /// (Re)arm to fire `delay` from now.
+  /// (Re)arm to fire `delay` from now, replacing and releasing any pending
+  /// callback.
   void arm(Duration delay, Callback fn);
 
   /// Cancel a pending expiry and release its callback; no-op if not armed.

@@ -136,11 +136,9 @@ void Endpoint::maybe_send() {
     if (in_flight >= window) break;
     Bytes len = std::min({config_.mss, stream_end_ - snd_nxt_,
                           window - in_flight});
-    if (config_.segment_at_message_boundaries) {
-      auto next_end = out_msgs_.upper_bound(snd_nxt_);
-      if (next_end != out_msgs_.end()) {
-        len = std::min(len, next_end->first - snd_nxt_);
-      }
+    auto next_end = out_msgs_.upper_bound(snd_nxt_);
+    if (next_end != out_msgs_.end()) {
+      len = std::min(len, next_end->first - snd_nxt_);
     }
     if (len <= 0) break;
     send_segment(snd_nxt_, len, /*is_retransmission=*/false);
@@ -221,14 +219,9 @@ void Endpoint::send_segment(StreamOffset seq, Bytes len,
 }
 
 void Endpoint::retransmit_lost() {
-  // Resend the unacked window (head-only when aggressive recovery is off),
-  // skipping ranges the peer has SACKed.
-  const StreamOffset limit =
-      config_.aggressive_recovery
-          ? snd_nxt_
-          : std::min(snd_nxt_, snd_una_ + config_.mss);
+  // Resend the unacked window, skipping ranges the peer has SACKed.
   StreamOffset seq = snd_una_;
-  while (seq < limit) {
+  while (seq < snd_nxt_) {
     // Skip a SACKed range covering seq, if any.
     auto it = peer_sacked_.upper_bound(seq);
     if (it != peer_sacked_.begin()) {
@@ -238,15 +231,13 @@ void Endpoint::retransmit_lost() {
         continue;
       }
     }
-    Bytes len = std::min(config_.mss, limit - seq);
+    Bytes len = std::min(config_.mss, snd_nxt_ - seq);
     if (it != peer_sacked_.end()) {
       len = std::min(len, it->first - seq);  // Stop at the next SACK block.
     }
-    if (config_.segment_at_message_boundaries) {
-      auto next_end = out_msgs_.upper_bound(seq);
-      if (next_end != out_msgs_.end()) {
-        len = std::min(len, next_end->first - seq);
-      }
+    auto next_end = out_msgs_.upper_bound(seq);
+    if (next_end != out_msgs_.end()) {
+      len = std::min(len, next_end->first - seq);
     }
     if (len <= 0) break;
     send_segment(seq, len, /*is_retransmission=*/true);

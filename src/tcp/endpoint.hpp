@@ -1,12 +1,16 @@
 // One side of a simulated duplex TCP connection.
 //
 // Implements the mechanisms the paper's observations hinge on:
-//   - segmentation with per-segment header overhead;
-//   - cumulative acknowledgements (pure acks compete for reverse bandwidth);
+//   - segmentation with per-segment header overhead; a segment never spans
+//     an application-message boundary (TCP_NODELAY request-at-a-time
+//     writes), so small produce requests ride small packets and loss
+//     recovery is per request, the regime the paper's testbed exhibits;
+//   - cumulative acknowledgements (pure acks compete for reverse bandwidth)
+//     carrying up to four SACK blocks;
 //   - congestion control: slow start + AIMD congestion avoidance;
 //   - retransmission: RTO with exponential backoff (Jacobson/Karn) and
-//     3-dup-ack fast retransmit (no SACK — like the paper's kernel TCP,
-//     recovery degrades sharply once multiple losses hit one window);
+//     3-dup-ack fast retransmit; either one resends the whole unacked
+//     window except the ranges the peer has SACKed;
 //   - connection reset after repeated consecutive RTO failures: everything
 //     buffered in the socket is silently lost, which is exactly the hazard
 //     an acks=0 (at-most-once) Kafka producer is exposed to;
@@ -46,16 +50,7 @@ struct Config {
   int max_consecutive_rtos = 5;          ///< Then the connection resets.
   Duration syn_timeout = millis(500);    ///< Per-SYN retry timeout.
   int max_syn_retries = 6;               ///< Then connect fails (reset).
-  /// When true, loss recovery resends the whole unacked window (SACK-like
-  /// effectiveness, go-back-N cost); when false only the head segment is
-  /// retransmitted per event — classic Reno-style, collapses sooner.
-  bool aggressive_recovery = true;
   Duration persist_interval = millis(300);  ///< Zero-window probe period.
-  /// When true, segments never span application-message boundaries
-  /// (TCP_NODELAY request-at-a-time writes): small produce requests ride
-  /// small packets, making loss recovery per-request — the regime the
-  /// paper's testbed exhibits.
-  bool segment_at_message_boundaries = true;
   /// Congestion-window floor in (average-size) segments. 2 = classic Reno
   /// collapse; ~20 models loss-tolerant modern stacks (RACK/BBR-grade)
   /// that sustain pipelining under heavy random loss.

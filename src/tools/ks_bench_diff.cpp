@@ -4,8 +4,10 @@
 //   ks_bench_diff bench/baselines build/artifacts
 //   ks_bench_diff --warn-only baseline.json current.json
 //
-// Exit codes: 0 = within noise, 1 = regressions or result drift found
-// (suppressed by --warn-only), 2 = usage or unreadable/invalid artifacts.
+// Exit codes: 0 = within noise, 1 = regressions, result drift or missing
+// benches found (--warn-only reports timing regressions but exits 0 on
+// them; drift and missing benches still exit 1), 2 = usage or
+// unreadable/invalid artifacts.
 #include <filesystem>
 #include <cstdio>
 #include <cstdlib>
@@ -26,7 +28,7 @@ int usage(const char* argv0) {
       "  --rel T       relative timing threshold (default 0.10)\n"
       "  --sigma K     noise gate multiplier (default 3.0)\n"
       "  --det-tol T   deterministic-result tolerance (default 1e-9)\n"
-      "  --warn-only   report findings but exit 0\n",
+      "  --warn-only   report timing regressions but exit 0 on them\n",
       argv0);
   return 2;
 }
@@ -132,12 +134,9 @@ int main(int argc, char** argv) {
 
   const auto report = bench::diff_artifacts(baseline, current, options);
   std::fputs(bench::render_diff(report).c_str(), stdout);
+  if (report.has_regressions(warn_only)) return 1;
   if (report.has_regressions()) {
-    if (warn_only) {
-      std::printf("\n(warn-only: regressions reported, exit 0)\n");
-      return 0;
-    }
-    return 1;
+    std::printf("\n(warn-only: timing regressions reported, exit 0)\n");
   }
   return 0;
 }

@@ -212,6 +212,23 @@ TEST(Diff, MissingBenchFailsAndNewBenchDoesNot) {
   EXPECT_TRUE(added.findings.empty());
 }
 
+// --warn-only downgrades timing regressions alone: they depend on the
+// host, while drift and a missing bench are deterministic.
+TEST(Diff, WarnOnlyStillFailsOnDriftAndMissingBench) {
+  const auto base = make_artifact("b1", 1.0);
+  const auto slow = make_artifact("b1", 2.0);
+  const auto timing = diff_artifacts({base}, {slow});
+  EXPECT_TRUE(timing.has_regressions());
+  EXPECT_FALSE(timing.has_regressions(/*warn_only=*/true));
+
+  auto slow_drifted = slow;
+  slow_drifted.points[0].metrics[0].second.mean = 0.02;
+  EXPECT_TRUE(diff_artifacts({base}, {slow_drifted}).has_regressions(true));
+
+  const auto missing = diff_artifacts({base, make_artifact("b2", 1.0)}, {base});
+  EXPECT_TRUE(missing.has_regressions(true));
+}
+
 TEST(Diff, ShapeAndFingerprintChangesAreInformational) {
   const auto base = make_artifact("b1", 1.0);
   auto other_host = make_artifact("b1", 2.0);

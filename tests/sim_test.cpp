@@ -3,9 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
 #include <memory>
+#include <set>
+#include <string>
+#include <tuple>
 #include <vector>
 
+#include "common/rng.hpp"
+#include "obs/profiler.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/modulator.hpp"
 #include "sim/simulation.hpp"
@@ -111,6 +117,106 @@ TEST(EventQueue, StaleIdDoesNotCancelSlotReuse) {
   EXPECT_EQ(q.size(), 1u);
   q.pop().fn();
   EXPECT_EQ(ran, 110);
+}
+
+// Random pushes, pops, cancels and reschedules against an ordered
+// (time, seq) reference. Times come from an 8 us window, so ties are
+// common. Cancels and reschedules name pending, already-run,
+// already-cancelled and never-issued ids alike, and removals from the
+// middle of the heap sift both up and down.
+TEST(EventQueue, MatchesOrderedReferenceUnderRandomOperations) {
+  struct Event {
+    EventId id;
+    TimePoint time;
+    std::uint64_t seq;
+    std::size_t live_pos;  ///< Index in `live` while pending.
+  };
+  EventQueue q;
+  std::vector<Event> events;  // Indexed by the tag each callable reports.
+  std::set<std::tuple<TimePoint, std::uint64_t, std::size_t>> reference;
+  std::vector<std::size_t> live;  // Tags of pending events.
+  std::vector<std::size_t> done;  // Tags of events that ran or were cancelled.
+  std::uint64_t next_seq = 0;
+  TimePoint now = 0;
+  std::size_t popped_tag = 0;
+  Rng rng(20261017);
+
+  const auto finish = [&](std::size_t tag) {
+    Event& e = events[tag];
+    reference.erase({e.time, e.seq, tag});
+    events[live.back()].live_pos = e.live_pos;
+    live[e.live_pos] = live.back();
+    live.pop_back();
+    done.push_back(tag);
+  };
+  const auto pick = [&](std::vector<std::size_t>& from) {
+    return from[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(from.size()) - 1))];
+  };
+  // An id for cancel or reschedule: a pending event's (its tag), or one
+  // that ran or was cancelled, or one never issued (no tag).
+  const auto target = [&](std::size_t& tag) -> EventId {
+    tag = events.size();
+    const double u = rng.uniform01();
+    if (u < 0.5 && !live.empty()) return events[tag = pick(live)].id;
+    if (u < 0.75 && !done.empty()) return events[pick(done)].id;
+    if (u < 0.85 || live.empty()) return 0;
+    if (u < 0.9) return 0xffffffffu;  // A slot far past the table.
+    return events[pick(live)].id + (std::uint64_t{2} << 32);  // A later gen.
+  };
+
+  for (int op = 0; op < 100000; ++op) {
+    const double u = rng.uniform01();
+    const double push_share = live.size() < 96 ? 0.5 : 0.25;
+    if (u < push_share) {
+      const TimePoint t = now + rng.uniform_int(0, 7);
+      const std::size_t tag = events.size();
+      const EventId id = q.push(t, [&popped_tag, tag] { popped_tag = tag; });
+      events.push_back({id, t, next_seq, live.size()});
+      reference.insert({t, next_seq++, tag});
+      live.push_back(tag);
+    } else if (u < push_share + 0.25) {
+      if (reference.empty()) continue;
+      const auto [t, seq, tag] = *reference.begin();
+      auto ev = q.pop();
+      ASSERT_EQ(ev.time, t);
+      ev.fn();
+      ASSERT_EQ(popped_tag, tag);
+      now = t;
+      finish(tag);
+    } else if (u < push_share + 0.4) {
+      std::size_t tag;
+      const EventId id = target(tag);
+      const bool pending = tag < events.size();
+      ASSERT_EQ(q.cancel(id), pending);
+      if (pending) finish(tag);
+    } else {
+      std::size_t tag;
+      const EventId id = target(tag);
+      const bool pending = tag < events.size();
+      const TimePoint t = now + rng.uniform_int(0, 7);
+      ASSERT_EQ(q.reschedule(id, t), pending);
+      if (pending) {
+        Event& e = events[tag];
+        reference.erase({e.time, e.seq, tag});
+        e.time = t;
+        e.seq = next_seq++;
+        reference.insert({t, e.seq, tag});
+      }
+    }
+    ASSERT_EQ(q.size(), reference.size());
+    if (!reference.empty()) {
+      ASSERT_EQ(q.next_time(), std::get<0>(*reference.begin()));
+    }
+  }
+  EXPECT_GT(done.size(), 20000u);
+  for (const auto& [t, seq, tag] : reference) {
+    auto ev = q.pop();
+    ASSERT_EQ(ev.time, t);
+    ev.fn();
+    ASSERT_EQ(popped_tag, tag);
+  }
+  EXPECT_TRUE(q.empty());
 }
 
 // Counts runs and live instances through pointers, with a payload larger
@@ -320,6 +426,70 @@ TEST(Timer, RearmInsideCallback) {
   sim.run();
   EXPECT_EQ(fires, 5);
   EXPECT_EQ(sim.now(), 50);
+}
+
+TEST(Timer, RearmReleasesOldCallbackAtOnce) {
+  Simulation sim;
+  Timer timer(sim);
+  auto state = std::make_shared<int>(0);
+  timer.arm(10, [state] { ++*state; });
+  EXPECT_EQ(state.use_count(), 2);
+  int fired = 0;
+  timer.arm(20, [&fired] { ++fired; });
+  EXPECT_EQ(state.use_count(), 1);
+  sim.run();
+  EXPECT_EQ(*state, 0);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.now(), 20);
+}
+
+// A re-armed timer runs after the events already due at its new deadline
+// and before those scheduled there later, whether the deadline moved
+// later or earlier: the order a cancel and a fresh push would give it.
+TEST(Timer, RearmTiesRunInSchedulingOrder) {
+  for (const Duration first : {millis(5), millis(20)}) {
+    Simulation sim;
+    Timer timer(sim);
+    std::string order;
+    timer.arm(first, [&order] { order += 'x'; });
+    sim.at(millis(10), [&order] { order += 'a'; });
+    timer.arm(millis(10), [&order] { order += 't'; });
+    sim.at(millis(10), [&order] { order += 'b'; });
+    sim.run();
+    EXPECT_EQ(order, "atb") << "first deadline " << first << " us";
+  }
+}
+
+// Re-arming moves the timer's one pending event, so 100k re-arms on a
+// 1 us event chain allocate nothing, though each new deadline (1 s out)
+// lies far past the chain's end.
+TEST(Timer, RearmLeavesNothingBehind) {
+  const auto setup = obs::profiler().snapshot();
+  Simulation sim;
+  if (obs::profiler().snapshot().since(setup).alloc_bytes == 0) {
+    GTEST_SKIP() << "allocation counting is off in this build";
+  }
+  Timer timer(sim);
+  struct Ack {
+    Simulation* sim;
+    Timer* timer;
+    int* left;
+    void operator()() const {
+      timer->arm(seconds(1), [] {});
+      if (--*left > 0) sim->after(micros(1), *this);
+    }
+  };
+  int left = 1000;  // Warm-up: sizes the event table.
+  sim.after(micros(1), Ack{&sim, &timer, &left});
+  sim.run_for(millis(500));
+  const auto start = obs::profiler().snapshot();
+  left = 100000;
+  sim.after(micros(1), Ack{&sim, &timer, &left});
+  sim.run_for(millis(500));
+  const auto bytes = obs::profiler().snapshot().since(start).alloc_bytes;
+  EXPECT_EQ(sim.events_executed(), 101000u);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_LT(bytes, 1024u) << "100k re-arms allocated " << bytes << " bytes";
 }
 
 TEST(Modulator, DisabledStaysGood) {

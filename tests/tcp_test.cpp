@@ -313,9 +313,7 @@ TEST(Tcp, RefusesSendWhenDead) {
 }
 
 TEST(Tcp, MessageBoundarySegmentation) {
-  Config config;
-  config.segment_at_message_boundaries = true;
-  Rig rig(0.0, millis(1), config);
+  Rig rig;
   rig.establish();
   rig.pair.server.on_message = [](std::shared_ptr<const void>) {};
   for (int i = 0; i < 10; ++i) rig.pair.client.send(msg(100, i));

@@ -8,7 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <string>
+
+#include "bench_core/artifact.hpp"
 
 namespace {
 
@@ -64,6 +67,38 @@ TEST(ToolsCli, BenchDiffRejectsMalformedInvocations) {
   EXPECT_EQ(run_tool("ks_bench_diff", "--det-tol"), 2);
   EXPECT_EQ(run_tool("ks_bench_diff", "--bogus a b"), 2);
   EXPECT_EQ(run_tool("ks_bench_diff", "/nonexistent/a /nonexistent/b"), 2);
+}
+
+// --warn-only exits 0 on a timing regression only: result drift and a
+// missing bench are deterministic, so they exit 1 with or without it.
+TEST(ToolsCli, BenchDiffWarnOnlyStillFailsOnDrift) {
+  const auto dir = std::filesystem::path(::testing::TempDir()) / "bench_diff";
+  std::filesystem::create_directories(dir);
+  const auto write = [&](const std::string& file, const std::string& bench,
+                         double wall, double p_loss) {
+    ks::bench::Artifact a;
+    a.bench = bench;
+    a.messages = 4000;
+    a.repeat = 3;
+    a.wall_s = ks::bench::DistStat::of({wall * 0.98, wall, wall * 1.02});
+    a.points.push_back(
+        {{{"k", 1.0}}, {{"p_loss", ks::bench::Stat{p_loss, 0.0}}}});
+    const auto path = (dir / file).string();
+    EXPECT_TRUE(a.write(path));
+    return path;
+  };
+  const auto base = write("base.json", "b1", 1.0, 0.01);
+  const auto slow = write("slow.json", "b1", 2.0, 0.01);
+  const auto drift = write("drift.json", "b1", 1.0, 0.02);
+  const auto other = write("other.json", "b2", 1.0, 0.01);
+
+  EXPECT_EQ(run_tool("ks_bench_diff", base + " " + base), 0);
+  EXPECT_EQ(run_tool("ks_bench_diff", base + " " + slow), 1);
+  EXPECT_EQ(run_tool("ks_bench_diff", "--warn-only " + base + " " + slow), 0);
+  EXPECT_EQ(run_tool("ks_bench_diff", base + " " + drift), 1);
+  EXPECT_EQ(run_tool("ks_bench_diff", "--warn-only " + base + " " + drift), 1);
+  EXPECT_EQ(run_tool("ks_bench_diff", "--warn-only " + other + " " + base), 1);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ToolsCli, CheapHappyPathsExitZero) {
