@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
-# Regenerate the committed bench baselines in bench/baselines/.
+# Run the pinned bench subset and write its artifacts, by default into the
+# committed baselines in bench/baselines/.
 #
-#   scripts/refresh_baselines.sh
+#   scripts/refresh_baselines.sh [OUT_DIR]   # relative to the repo root
 #
 # Run this after an intentional perf or result change, eyeball the diff
 # (`git diff bench/baselines`), and commit the new artifacts together with
-# the change that caused them. The subset and knobs here MUST match the
-# nightly bench job in .github/workflows/ci.yml — ks_bench_diff compares
-# run shapes and reports a config mismatch instead of timings otherwise.
+# the change that caused them. The nightly bench job in
+# .github/workflows/ci.yml runs this same script into its own directory and
+# diffs that against the baselines, so the subset and knobs live only here.
 #
 # Keep in mind what the artifact stability contract says (see
 # src/bench_core/artifact.hpp): only `bench`, `config` and `points` are
@@ -16,6 +17,7 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+OUT="${1:-bench/baselines}"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
 # The pinned subset: fast, deterministic benches covering a census table,
@@ -29,9 +31,10 @@ SUBSET=(table1_states fig4_message_size fig6_polling ablation_semantics
 cmake -B build -S . >/dev/null
 cmake --build build -j "${JOBS}" --target ks_bench
 
-mkdir -p bench/baselines
+mkdir -p "${OUT}"
 KS_BENCH_MESSAGES=4000 build/src/tools/ks_bench \
-  --repeat 3 --out bench/baselines "${SUBSET[@]}"
+  --repeat 3 --out "${OUT}" "${SUBSET[@]}"
 
 echo
-echo "baselines refreshed; review with: git diff bench/baselines"
+echo "artifacts written to ${OUT}; against the baselines:" \
+  "build/src/tools/ks_bench_diff bench/baselines ${OUT}"

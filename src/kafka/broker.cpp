@@ -14,81 +14,62 @@ Broker::Broker(sim::Simulation& sim, Config config)
       config_(config),
       modulator_(sim, config.regime),
       storage_device_(config.storage),
-      isr_scan_timer_(sim) {
+      isr_scan_timer_(sim),
+      metrics_binding_(sim.metrics()) {
   // A regime flip back to Good should immediately resume request service.
   modulator_.on_change([this](sim::Regime) { pump(); });
 
-  auto& metrics = sim.metrics();
+  auto& m = metrics_binding_;
   const obs::Labels labels{{"broker", std::to_string(config_.id)}};
-  m_produce_ = metrics.counter("kafka_broker_produce_requests_total", labels);
-  m_fetches_ = metrics.counter("kafka_broker_fetch_requests_total", labels);
-  m_records_appended_ =
-      metrics.counter("kafka_broker_records_appended_total", labels);
-  m_bytes_appended_ =
-      metrics.counter("kafka_broker_appended_bytes_total", labels);
-  m_deduplicated_ =
-      metrics.counter("kafka_broker_batches_deduplicated_total", labels);
-  m_isr_shrinks_ = metrics.counter("kafka_broker_isr_shrinks_total", labels);
-  m_isr_expands_ = metrics.counter("kafka_broker_isr_expands_total", labels);
-  m_replica_fetches_ =
-      metrics.counter("kafka_broker_replica_fetches_total", labels);
-  m_truncated_records_ =
-      metrics.counter("kafka_broker_truncated_records_total", labels);
-  m_log_flushes_ = metrics.counter("kafka_broker_log_flushes_total", labels);
-  m_flushed_bytes_ =
-      metrics.counter("kafka_broker_flushed_bytes_total", labels);
-  m_recovery_scans_ =
-      metrics.counter("kafka_broker_recovery_scans_total", labels);
-  m_records_recovered_ =
-      metrics.counter("kafka_broker_records_recovered_total", labels);
-  m_records_discarded_ =
-      metrics.counter("kafka_broker_records_discarded_total", labels);
-  m_corrupt_batches_ =
-      metrics.counter("kafka_broker_corrupt_batches_total", labels);
-  m_bad_regime_ = metrics.gauge("kafka_broker_bad_regime", labels);
-  m_parked_acks_ = metrics.gauge("kafka_broker_parked_acks", labels);
-  m_hw_lag_ = metrics.histogram("kafka_broker_hw_lag_us", labels);
+  m.counter("kafka_broker_produce_requests_total", labels,
+            &stats_.produce_requests);
+  m.counter("kafka_broker_fetch_requests_total", labels,
+            &stats_.fetch_requests);
+  m.counter("kafka_broker_records_appended_total", labels,
+            &stats_.records_appended);
+  m.counter("kafka_broker_appended_bytes_total", labels,
+            &stats_.bytes_appended);
+  m.counter("kafka_broker_batches_deduplicated_total", labels,
+            &stats_.batches_deduplicated);
+  m.counter("kafka_broker_isr_shrinks_total", labels, &stats_.isr_shrinks);
+  m.counter("kafka_broker_isr_expands_total", labels, &stats_.isr_expands);
+  m.counter("kafka_broker_replica_fetches_total", labels,
+            &stats_.replica_fetches_served);
+  m.counter("kafka_broker_truncated_records_total", labels,
+            &stats_.truncated_records);
+  m.counter("kafka_broker_log_flushes_total", labels,
+            &storage_device_.stats().flushes);
+  m.counter("kafka_broker_flushed_bytes_total", labels,
+            &storage_device_.stats().flushed_bytes);
+  m.counter("kafka_broker_recovery_scans_total", labels,
+            &stats_.recovery_scans);
+  m.counter("kafka_broker_records_recovered_total", labels,
+            &stats_.records_recovered);
+  m.counter("kafka_broker_records_discarded_total", labels,
+            &stats_.records_discarded);
+  m.counter("kafka_broker_corrupt_batches_total", labels,
+            &stats_.corrupt_batches);
+  m.gauge("kafka_broker_bad_regime", labels,
+          [this] { return modulator_.good() ? 0.0 : 1.0; });
+  m.gauge("kafka_broker_parked_acks", labels,
+          [this] { return static_cast<double>(parked_acks()); });
+  m_hw_lag_ = sim.metrics().histogram("kafka_broker_hw_lag_us", labels);
   m_recovery_scan_us_ =
-      metrics.histogram("kafka_broker_recovery_scan_us", labels);
-  m_busy_ = metrics.gauge("kafka_broker_busy", labels);
-  m_down_ = metrics.gauge("kafka_broker_down", labels);
-  m_replication_lag_ =
-      metrics.gauge("kafka_broker_replication_lag_records", labels);
-  metrics_collector_ = metrics.add_collector([this] {
-    m_produce_.set(stats_.produce_requests);
-    m_fetches_.set(stats_.fetch_requests);
-    m_records_appended_.set(stats_.records_appended);
-    m_bytes_appended_.set(static_cast<std::uint64_t>(stats_.bytes_appended));
-    m_deduplicated_.set(stats_.batches_deduplicated);
-    m_isr_shrinks_.set(stats_.isr_shrinks);
-    m_isr_expands_.set(stats_.isr_expands);
-    m_replica_fetches_.set(stats_.replica_fetches_served);
-    m_truncated_records_.set(stats_.truncated_records);
-    m_log_flushes_.set(storage_device_.stats().flushes);
-    m_flushed_bytes_.set(
-        static_cast<std::uint64_t>(storage_device_.stats().flushed_bytes));
-    m_recovery_scans_.set(stats_.recovery_scans);
-    m_records_recovered_.set(stats_.records_recovered);
-    m_records_discarded_.set(stats_.records_discarded);
-    m_corrupt_batches_.set(stats_.corrupt_batches);
-    m_bad_regime_.set(modulator_.good() ? 0.0 : 1.0);
-    m_busy_.set(busy_ ? 1.0 : 0.0);
-    m_down_.set(down_ ? 1.0 : 0.0);
-    // Worst replication lag (leader log end minus slowest ISR member)
-    // across the partitions this broker leads, plus acks=all responses
-    // parked awaiting the high watermark.
+      sim.metrics().histogram("kafka_broker_recovery_scan_us", labels);
+  m.gauge("kafka_broker_busy", labels, &busy_);
+  m.gauge("kafka_broker_down", labels, &down_);
+  // Worst replication lag (leader log end minus slowest ISR member) across
+  // the partitions this broker leads.
+  m.gauge("kafka_broker_replication_lag_records", labels, [this] {
     std::int64_t lag = 0;
-    std::size_t parked = 0;
     for (const auto& [id, st] : partitions_) {
-      parked += st->pending_acks.size();
       if (!st->leader || !replicated(*st)) continue;
       const std::int64_t leo = st->log->log_end_offset();
       for (const auto& [fid, f] : st->followers) {
         if (f.in_isr) lag = std::max(lag, leo - f.fetched_to);
       }
     }
-    m_replication_lag_.set(static_cast<double>(lag));
-    m_parked_acks_.set(static_cast<double>(parked));
+    return static_cast<double>(lag);
   });
 }
 

@@ -144,7 +144,7 @@ class Broker {
 
   /// acks=all produce responses currently parked awaiting the high
   /// watermark, summed across hosted partitions (health-probe input; the
-  /// same sum the metrics collector publishes as a gauge).
+  /// kafka_broker_parked_acks gauge reads the same sum).
   std::int64_t parked_acks() const noexcept;
 
   StorageDevice& storage_device() noexcept { return storage_device_; }
@@ -284,17 +284,8 @@ class Broker {
   Stats stats_;
 
   // ---- observability ----
-  obs::Counter m_produce_, m_fetches_, m_records_appended_;
-  obs::Counter m_bytes_appended_, m_deduplicated_;
-  obs::Counter m_isr_shrinks_, m_isr_expands_, m_replica_fetches_;
-  obs::Counter m_truncated_records_;
-  obs::Counter m_log_flushes_, m_flushed_bytes_;
-  obs::Counter m_recovery_scans_, m_records_recovered_, m_records_discarded_;
-  obs::Counter m_corrupt_batches_;
-  obs::Gauge m_bad_regime_, m_busy_, m_down_, m_replication_lag_;
-  obs::Gauge m_parked_acks_;
   obs::Histogram m_hw_lag_, m_recovery_scan_us_;
-  obs::CollectorHandle metrics_collector_;
+  obs::MetricsBinding metrics_binding_;  ///< Last: reads the members above.
 };
 
 }  // namespace ks::kafka

@@ -10,7 +10,7 @@
 namespace ks::kafka {
 
 Cluster::Cluster(sim::Simulation& sim, Config config)
-    : sim_(sim), config_(config) {
+    : sim_(sim), config_(config), metrics_binding_(sim.metrics()) {
   assert(config_.num_brokers > 0);
   config_.replication_factor =
       std::clamp(config_.replication_factor, 1, config_.num_brokers);
@@ -22,31 +22,21 @@ Cluster::Cluster(sim::Simulation& sim, Config config)
   }
   alive_.assign(static_cast<std::size_t>(config_.num_brokers), true);
 
-  auto& metrics = sim.metrics();
-  m_elections_ = metrics.counter("kafka_cluster_elections_total", {});
-  m_unclean_elections_ =
-      metrics.counter("kafka_cluster_unclean_elections_total", {});
-  m_regressions_ =
-      metrics.counter("kafka_cluster_committed_regressions_total", {});
-  m_isr_shrinks_ = metrics.counter("kafka_cluster_isr_shrinks_total", {});
-  m_isr_expands_ = metrics.counter("kafka_cluster_isr_expands_total", {});
-  m_elections_clean_label_ = metrics.counter(
-      "kafka_cluster_leader_elections_total", {{"clean", "true"}});
-  m_elections_unclean_label_ = metrics.counter(
-      "kafka_cluster_leader_elections_total", {{"clean", "false"}});
-  metrics_collector_ = metrics.add_collector([this] {
-    m_elections_.set(stats_.elections);
-    m_unclean_elections_.set(stats_.unclean_elections);
-    m_regressions_.set(stats_.committed_regressions);
-    m_isr_shrinks_.set(stats_.isr_shrinks);
-    m_isr_expands_.set(stats_.isr_expands);
-    m_elections_clean_label_.set(stats_.elections - stats_.unclean_elections);
-    m_elections_unclean_label_.set(stats_.unclean_elections);
-    for (auto& [pid, gauge] : m_partition_isr_size_) {
-      const auto& ref = ref_of(pid);
-      gauge.set(ref.offline ? 0.0 : static_cast<double>(ref.isr.size()));
-    }
-  });
+  auto& m = metrics_binding_;
+  m.counter("kafka_cluster_elections_total", {}, &stats_.elections);
+  m.counter("kafka_cluster_unclean_elections_total", {},
+            &stats_.unclean_elections);
+  m.counter("kafka_cluster_committed_regressions_total", {},
+            &stats_.committed_regressions);
+  m.counter("kafka_cluster_isr_shrinks_total", {}, &stats_.isr_shrinks);
+  m.counter("kafka_cluster_isr_expands_total", {}, &stats_.isr_expands);
+  m.counter("kafka_cluster_leader_elections_total", {{"clean", "true"}},
+            [this] {
+              return static_cast<double>(stats_.elections -
+                                         stats_.unclean_elections);
+            });
+  m.counter("kafka_cluster_leader_elections_total", {{"clean", "false"}},
+            &stats_.unclean_elections);
 
   if (config_.replication_factor > 1) {
     // Inter-broker fetch fabric: one duplex pipe per ordered broker pair
@@ -135,10 +125,12 @@ void Cluster::create_topic(const std::string& name, int partitions) {
     }
     partition_index_[ref.id] = {name, p};
     if (rf > 1) {
-      m_partition_isr_size_.emplace(
-          ref.id,
-          sim_.metrics().gauge("kafka_partition_isr_size",
-                               {{"partition", std::to_string(ref.id)}}));
+      metrics_binding_.gauge(
+          "kafka_partition_isr_size", {{"partition", std::to_string(ref.id)}},
+          [this, id = ref.id] {
+            const auto& r = ref_of(id);
+            return r.offline ? 0.0 : static_cast<double>(r.isr.size());
+          });
     }
     refs.push_back(ref);
   }

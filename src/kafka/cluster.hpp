@@ -196,11 +196,7 @@ class Cluster {
   std::int32_t next_partition_id_ = 0;
   Stats stats_;
 
-  obs::Counter m_elections_, m_unclean_elections_, m_regressions_;
-  obs::Counter m_elections_clean_label_, m_elections_unclean_label_;
-  obs::Counter m_isr_shrinks_, m_isr_expands_;
-  std::map<std::int32_t, obs::Gauge> m_partition_isr_size_;
-  obs::CollectorHandle metrics_collector_;
+  obs::MetricsBinding metrics_binding_;  ///< Last: reads the members above.
 };
 
 }  // namespace ks::kafka

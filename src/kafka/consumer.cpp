@@ -12,22 +12,16 @@ Consumer::Consumer(sim::Simulation& sim, Config config, tcp::Endpoint& conn,
       active_(&conn),
       partition_(partition),
       poll_timer_(sim),
-      fetch_timeout_timer_(sim) {
-  auto& metrics = sim.metrics();
+      fetch_timeout_timer_(sim),
+      metrics_binding_(sim.metrics()) {
+  auto& m = metrics_binding_;
   const obs::Labels labels{{"partition", std::to_string(partition_)}};
-  m_fetches_ = metrics.counter("kafka_consumer_fetches_total", labels);
-  m_records_ = metrics.counter("kafka_consumer_records_total", labels);
-  m_bytes_ = metrics.counter("kafka_consumer_bytes_total", labels);
-  m_fetch_retries_ =
-      metrics.counter("kafka_consumer_fetch_retries_total", labels);
-  m_position_ = metrics.gauge("kafka_consumer_position", labels);
-  metrics_collector_ = metrics.add_collector([this] {
-    m_fetches_.set(stats_.fetches);
-    m_records_.set(stats_.records);
-    m_bytes_.set(static_cast<std::uint64_t>(stats_.bytes));
-    m_fetch_retries_.set(stats_.fetch_retries);
-    m_position_.set(static_cast<double>(next_offset_));
-  });
+  m.counter("kafka_consumer_fetches_total", labels, &stats_.fetches);
+  m.counter("kafka_consumer_records_total", labels, &stats_.records);
+  m.counter("kafka_consumer_bytes_total", labels, &stats_.bytes);
+  m.counter("kafka_consumer_fetch_retries_total", labels,
+            &stats_.fetch_retries);
+  m.gauge("kafka_consumer_position", labels, &next_offset_);
 }
 
 void Consumer::enable_failover(std::vector<tcp::Endpoint*> endpoints,

@@ -104,10 +104,7 @@ class Consumer {
   sim::Timer fetch_timeout_timer_;
   Stats stats_;
 
-  // ---- observability ----
-  obs::Counter m_fetches_, m_records_, m_bytes_, m_fetch_retries_;
-  obs::Gauge m_position_;
-  obs::CollectorHandle metrics_collector_;
+  obs::MetricsBinding metrics_binding_;  ///< Last: reads the members above.
 };
 
 }  // namespace ks::kafka

@@ -95,53 +95,38 @@ Producer::Producer(sim::Simulation& sim, ProducerConfig config,
       linger_timer_(sim),
       timeout_scan_timer_(sim),
       expiry_timer_(sim),
-      retry_timer_(sim) {
-  auto& metrics = sim.metrics();
+      retry_timer_(sim),
+      metrics_binding_(sim.metrics()) {
+  auto& m = metrics_binding_;
   const obs::Labels labels{
       {"producer", std::to_string(config_.producer_id)}};
-  m_pulled_ = metrics.counter("kafka_producer_records_pulled_total", labels);
-  m_expired_ = metrics.counter("kafka_producer_records_expired_total", labels);
-  m_requests_sent_ =
-      metrics.counter("kafka_producer_batches_sent_total", labels);
-  m_requests_retried_ =
-      metrics.counter("kafka_producer_batches_retried_total", labels);
-  m_request_timeouts_ =
-      metrics.counter("kafka_producer_request_timeouts_total", labels);
-  m_records_acked_ =
-      metrics.counter("kafka_producer_records_acked_total", labels);
-  m_records_failed_ =
-      metrics.counter("kafka_producer_records_failed_total", labels);
-  m_resets_ =
-      metrics.counter("kafka_producer_connection_resets_total", labels);
-  m_dropped_queue_full_ =
-      metrics.counter("kafka_producer_records_dropped_queue_full_total",
-                      labels);
-  m_not_leader_ =
-      metrics.counter("kafka_producer_not_leader_errors_total", labels);
-  m_failovers_ = metrics.counter("kafka_producer_failovers_total", labels);
-  m_accumulator_ =
-      metrics.gauge("kafka_producer_accumulator_records", labels);
-  m_in_flight_ = metrics.gauge("kafka_producer_in_flight_batches", labels);
-  m_unresolved_ = metrics.gauge("kafka_producer_unresolved_records", labels);
+  m.counter("kafka_producer_records_pulled_total", labels, &stats_.pulled);
+  m.counter("kafka_producer_records_expired_total", labels, &stats_.expired);
+  m.counter("kafka_producer_batches_sent_total", labels,
+            &stats_.requests_sent);
+  m.counter("kafka_producer_batches_retried_total", labels,
+            &stats_.requests_retried);
+  m.counter("kafka_producer_request_timeouts_total", labels,
+            &stats_.request_timeouts);
+  m.counter("kafka_producer_records_acked_total", labels,
+            &stats_.records_acked);
+  m.counter("kafka_producer_records_failed_total", labels,
+            &stats_.records_failed);
+  m.counter("kafka_producer_connection_resets_total", labels,
+            &stats_.connection_resets);
+  m.counter("kafka_producer_records_dropped_queue_full_total", labels,
+            &stats_.dropped_queue_full);
+  m.counter("kafka_producer_not_leader_errors_total", labels,
+            &stats_.not_leader_errors);
+  m.counter("kafka_producer_failovers_total", labels, &stats_.failovers);
+  m.gauge("kafka_producer_accumulator_records", labels,
+          [this] { return static_cast<double>(queue_.size()); });
+  m.gauge("kafka_producer_in_flight_batches", labels, &in_flight_count_);
+  m.gauge("kafka_producer_unresolved_records", labels, &unresolved_);
   m_queue_sojourn_ =
-      metrics.histogram("kafka_producer_queue_sojourn_us", labels);
-  m_ack_latency_ = metrics.histogram("kafka_producer_ack_latency_us", labels);
-  metrics_collector_ = metrics.add_collector([this] {
-    m_pulled_.set(stats_.pulled);
-    m_expired_.set(stats_.expired);
-    m_requests_sent_.set(stats_.requests_sent);
-    m_requests_retried_.set(stats_.requests_retried);
-    m_request_timeouts_.set(stats_.request_timeouts);
-    m_records_acked_.set(stats_.records_acked);
-    m_records_failed_.set(stats_.records_failed);
-    m_resets_.set(stats_.connection_resets);
-    m_dropped_queue_full_.set(stats_.dropped_queue_full);
-    m_not_leader_.set(stats_.not_leader_errors);
-    m_failovers_.set(stats_.failovers);
-    m_accumulator_.set(static_cast<double>(queue_.size()));
-    m_in_flight_.set(static_cast<double>(in_flight_count_));
-    m_unresolved_.set(static_cast<double>(unresolved_));
-  });
+      sim.metrics().histogram("kafka_producer_queue_sojourn_us", labels);
+  m_ack_latency_ =
+      sim.metrics().histogram("kafka_producer_ack_latency_us", labels);
 }
 
 void Producer::enable_failover(std::vector<tcp::Endpoint*> endpoints,
@@ -383,7 +368,6 @@ void Producer::try_send() {
     // Committed: pop the records and account.
     for (std::size_t i = 0; i < n; ++i) {
       const Duration sojourn = sim_.now() - queue_.front().created_at;
-      stats_.queue_sojourn.add(sojourn);
       m_queue_sojourn_.observe(sojourn);
       queue_.pop_front();
     }
@@ -469,7 +453,6 @@ void Producer::resolve_batch(std::uint64_t batch_id) {
   for (const auto& r : request.records) {
     ++stats_.records_acked;
     const Duration wait = sim_.now() - r.created_at;
-    stats_.ack_latency.add(wait);
     m_ack_latency_.observe(wait);
     if (on_record_acked) on_record_acked(r);
   }

@@ -24,7 +24,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "common/types.hpp"
 #include "kafka/protocol.hpp"
 #include "obs/metrics.hpp"
@@ -105,8 +104,6 @@ struct ProducerStats {
   std::uint64_t sequence_epoch_bumps = 0;
   std::uint64_t failovers = 0;          ///< Switched to a new leader.
   std::uint64_t metadata_refreshes = 0;
-  LatencyHistogram queue_sojourn;      ///< Accumulator wait of sent records.
-  LatencyHistogram ack_latency;        ///< Enqueue -> ack (acks>=1).
 };
 
 class Producer {
@@ -243,14 +240,9 @@ class Producer {
   sim::Timer retry_timer_;
   ProducerStats stats_;
 
-  // ---- observability (mirrors stats_ and queue depths at collect time) ----
-  obs::Counter m_pulled_, m_expired_, m_requests_sent_, m_requests_retried_;
-  obs::Counter m_request_timeouts_, m_records_acked_, m_records_failed_;
-  obs::Counter m_resets_, m_dropped_queue_full_;
-  obs::Counter m_not_leader_, m_failovers_;
-  obs::Gauge m_accumulator_, m_in_flight_, m_unresolved_;
+  // ---- observability ----
   obs::Histogram m_queue_sojourn_, m_ack_latency_;
-  obs::CollectorHandle metrics_collector_;
+  obs::MetricsBinding metrics_binding_;  ///< Last: reads the members above.
 };
 
 }  // namespace ks::kafka

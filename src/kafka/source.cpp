@@ -8,18 +8,14 @@ Source::Source(sim::Simulation& sim, Config config)
     : sim_(sim),
       config_(config),
       rng_(sim.rng().fork()),
-      next_key_(config.first_key) {
-  auto& metrics = sim.metrics();
-  m_emitted_ = metrics.counter("kafka_source_records_emitted_total");
-  m_pulled_ = metrics.counter("kafka_source_records_pulled_total");
-  m_overruns_ = metrics.counter("kafka_source_overruns_total");
-  m_buffered_ = metrics.gauge("kafka_source_buffered_records");
-  metrics_collector_ = metrics.add_collector([this] {
-    m_emitted_.set(stats_.emitted);
-    m_pulled_.set(stats_.pulled);
-    m_overruns_.set(stats_.overrun_dropped);
-    m_buffered_.set(static_cast<double>(buffer_.size()));
-  });
+      next_key_(config.first_key),
+      metrics_binding_(sim.metrics()) {
+  auto& m = metrics_binding_;
+  m.counter("kafka_source_records_emitted_total", {}, &stats_.emitted);
+  m.counter("kafka_source_records_pulled_total", {}, &stats_.pulled);
+  m.counter("kafka_source_overruns_total", {}, &stats_.overrun_dropped);
+  m.gauge("kafka_source_buffered_records", {},
+          [this] { return static_cast<double>(buffer_.size()); });
 }
 
 Bytes Source::next_size() {

@@ -86,10 +86,7 @@ class Source : public RecordSource {
   std::deque<Record> buffer_;
   Stats stats_;
 
-  // ---- observability ----
-  obs::Counter m_emitted_, m_pulled_, m_overruns_;
-  obs::Gauge m_buffered_;
-  obs::CollectorHandle metrics_collector_;
+  obs::MetricsBinding metrics_binding_;  ///< Last: reads the members above.
 };
 
 }  // namespace ks::kafka

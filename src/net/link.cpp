@@ -14,31 +14,23 @@ Link::Link(sim::Simulation& sim, Config config,
       delay_(std::move(delay)),
       loss_(std::move(loss)),
       name_(std::move(name)),
-      rng_(sim.rng().fork()) {
+      rng_(sim.rng().fork()),
+      metrics_binding_(sim.metrics()) {
   assert(delay_ != nullptr);
   assert(loss_ != nullptr);
 
-  auto& metrics = sim.metrics();
+  auto& m = metrics_binding_;
   const obs::Labels labels{{"link", name_}};
-  m_offered_ = metrics.counter("link_packets_offered_total", labels);
-  m_delivered_ = metrics.counter("link_packets_delivered_total", labels);
-  m_bytes_delivered_ = metrics.counter("link_delivered_bytes_total", labels);
-  m_dropped_queue_ = metrics.counter(
-      "link_packets_dropped_total",
-      {{"link", name_}, {"cause", "queue_overflow"}});
-  m_lost_wire_ = metrics.counter("link_packets_dropped_total",
-                                 {{"link", name_}, {"cause", "loss_model"}});
-  m_queue_bytes_ = metrics.gauge("link_queue_bytes", labels);
-  m_utilization_ = metrics.gauge("link_utilization", labels);
-  metrics_collector_ = metrics.add_collector([this] {
-    m_offered_.set(stats_.packets_offered);
-    m_delivered_.set(stats_.packets_delivered);
-    m_bytes_delivered_.set(static_cast<std::uint64_t>(stats_.bytes_delivered));
-    m_dropped_queue_.set(stats_.packets_dropped_queue);
-    m_lost_wire_.set(stats_.packets_lost);
-    m_queue_bytes_.set(static_cast<double>(queued_bytes_));
-    m_utilization_.set(utilization());
-  });
+  m.counter("link_packets_offered_total", labels, &stats_.packets_offered);
+  m.counter("link_packets_delivered_total", labels, &stats_.packets_delivered);
+  m.counter("link_delivered_bytes_total", labels, &stats_.bytes_delivered);
+  m.counter("link_packets_dropped_total",
+            {{"link", name_}, {"cause", "queue_overflow"}},
+            &stats_.packets_dropped_queue);
+  m.counter("link_packets_dropped_total",
+            {{"link", name_}, {"cause", "loss_model"}}, &stats_.packets_lost);
+  m.gauge("link_queue_bytes", labels, &queued_bytes_);
+  m.gauge("link_utilization", labels, [this] { return utilization(); });
 }
 
 bool Link::send(Packet packet) {

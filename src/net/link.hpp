@@ -91,10 +91,7 @@ class Link {
   Stats stats_;
 
   // ---- observability (drops split by cause at registration time) ----
-  obs::Counter m_offered_, m_delivered_, m_bytes_delivered_;
-  obs::Counter m_dropped_queue_, m_lost_wire_;
-  obs::Gauge m_queue_bytes_, m_utilization_;
-  obs::CollectorHandle metrics_collector_;
+  obs::MetricsBinding metrics_binding_;  ///< Last: reads the members above.
 };
 
 /// A symmetric duplex pipe: `a_to_b` and `b_to_a` built from one config.

@@ -27,15 +27,11 @@ std::string render_labels(const Labels& labels) {
 
 }  // namespace
 
-double MetricsRegistry::MetricInfo::value() const noexcept {
-  switch (kind) {
-    case MetricKind::kCounter:
-      return counter ? static_cast<double>(*counter) : 0.0;
-    case MetricKind::kGauge: return gauge ? *gauge : 0.0;
-    case MetricKind::kHistogram:
-      return hist ? static_cast<double>(hist->count()) : 0.0;
+double MetricsRegistry::MetricInfo::value() const {
+  if (kind == MetricKind::kHistogram) {
+    return hist ? static_cast<double>(hist->count()) : 0.0;
   }
-  return 0.0;
+  return read ? read() : frozen;
 }
 
 std::string MetricsRegistry::MetricInfo::full_name() const {
@@ -43,61 +39,21 @@ std::string MetricsRegistry::MetricInfo::full_name() const {
   return name + '{' + label_text + '}';
 }
 
-MetricsRegistry::MetricInfo& MetricsRegistry::resolve(const std::string& name,
-                                                      const Labels& labels,
-                                                      MetricKind kind) {
-  MetricInfo probe;
-  probe.name = name;
-  probe.label_text = render_labels(labels);
-  const std::string full = probe.full_name();
-  auto it = index_.find(full);
-  if (it != index_.end()) return metrics_[it->second];
-
-  probe.kind = kind;
-  switch (kind) {
-    case MetricKind::kCounter:
-      counter_cells_.push_back(0);
-      probe.counter = &counter_cells_.back();
-      break;
-    case MetricKind::kGauge:
-      gauge_cells_.push_back(0.0);
-      probe.gauge = &gauge_cells_.back();
-      break;
-    case MetricKind::kHistogram:
-      hist_cells_.emplace_back();
-      probe.hist = &hist_cells_.back();
-      break;
-  }
-  metrics_.push_back(std::move(probe));
-  index_.emplace(full, metrics_.size() - 1);
-  return metrics_.back();
-}
-
-Counter MetricsRegistry::counter(const std::string& name,
-                                 const Labels& labels) {
-  auto& m = resolve(name, labels, MetricKind::kCounter);
-  return Counter(const_cast<std::uint64_t*>(m.counter));
-}
-
-Gauge MetricsRegistry::gauge(const std::string& name, const Labels& labels) {
-  auto& m = resolve(name, labels, MetricKind::kGauge);
-  return Gauge(const_cast<double*>(m.gauge));
+MetricsRegistry::MetricInfo& MetricsRegistry::add(const std::string& name,
+                                                  const Labels& labels,
+                                                  MetricKind kind) {
+  MetricInfo& m = metrics_.emplace_back();
+  m.name = name;
+  m.label_text = render_labels(labels);
+  m.kind = kind;
+  return m;
 }
 
 Histogram MetricsRegistry::histogram(const std::string& name,
                                      const Labels& labels) {
-  auto& m = resolve(name, labels, MetricKind::kHistogram);
-  return Histogram(const_cast<LatencyHistogram*>(m.hist));
-}
-
-CollectorHandle MetricsRegistry::add_collector(std::function<void()> fn) {
-  const std::uint64_t id = next_collector_id_++;
-  collectors_.emplace(id, std::move(fn));
-  return CollectorHandle(this, id);
-}
-
-void MetricsRegistry::collect() {
-  for (auto& [id, fn] : collectors_) fn();
+  LatencyHistogram& cell = hist_cells_.emplace_back();
+  add(name, labels, MetricKind::kHistogram).hist = &cell;
+  return Histogram(&cell);
 }
 
 void MetricsRegistry::visit(
@@ -105,29 +61,23 @@ void MetricsRegistry::visit(
   for (const auto& m : metrics_) fn(m);
 }
 
-CollectorHandle::CollectorHandle(CollectorHandle&& other) noexcept
-    : registry_(other.registry_), id_(other.id_) {
-  other.registry_ = nullptr;
-  other.id_ = 0;
+MetricsBinding::MetricsBinding(MetricsBinding&& other) noexcept
+    : registry_(std::exchange(other.registry_, nullptr)),
+      entries_(std::move(other.entries_)) {}
+
+MetricsBinding::~MetricsBinding() {
+  if (registry_ == nullptr) return;
+  for (const std::size_t i : entries_) {
+    auto& m = registry_->metrics_[i];
+    m.frozen = m.read();
+    m.read = nullptr;
+  }
 }
 
-CollectorHandle& CollectorHandle::operator=(CollectorHandle&& other) noexcept {
-  if (this != &other) {
-    release();
-    registry_ = other.registry_;
-    id_ = other.id_;
-    other.registry_ = nullptr;
-    other.id_ = 0;
-  }
-  return *this;
-}
-
-void CollectorHandle::release() noexcept {
-  if (registry_ != nullptr) {
-    registry_->collectors_.erase(id_);
-    registry_ = nullptr;
-    id_ = 0;
-  }
+void MetricsBinding::add(MetricKind kind, const std::string& name,
+                         const Labels& labels, Read read) {
+  registry_->add(name, labels, kind).read = std::move(read);
+  entries_.push_back(registry_->size() - 1);
 }
 
 }  // namespace ks::obs

@@ -1,21 +1,24 @@
 // Simulation-wide metrics registry.
 //
 // Design constraints (the sim is single-threaded and deterministic — exploit
-// it): handles are resolved to raw cell pointers at registration time, so a
-// hot-path update is one integer/double store with no lookup, no locking and
-// no allocation. Components that already keep their own `Stats` structs do
-// not pay anything on the hot path at all: they register a *collector*, a
-// callback that publishes the current struct values into registry cells, and
-// collectors only run at collection time (a sampler tick or an export).
+// it): a component's own state is the only copy of its counters and gauges.
+// The component registers each metric once through its MetricsBinding, with
+// a function that reads the `Stats` field or state behind it, and the
+// registry calls that function whenever a sampler tick or an export reads
+// the metric. The hot path keeps incrementing plain struct fields and pays
+// nothing. When the component dies, its binding freezes each of its metrics
+// at the last value, so a stage that ends before the report keeps its final
+// counts and the registry never calls into a dead component.
 //
-// Cell storage uses deques so addresses stay stable as metrics register.
+// Histograms are registry-owned cells behind a Histogram handle; deque
+// storage keeps their addresses stable as metrics register.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <deque>
 #include <functional>
-#include <map>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -30,46 +33,6 @@ using Labels = std::vector<std::pair<std::string, std::string>>;
 enum class MetricKind { kCounter, kGauge, kHistogram };
 
 const char* to_string(MetricKind k) noexcept;
-
-/// Monotonic counter handle. Default-constructed handles are inert no-ops so
-/// components can declare members before wiring them in the constructor.
-class Counter {
- public:
-  Counter() = default;
-
-  void inc(std::uint64_t n = 1) noexcept {
-    if (cell_) *cell_ += n;
-  }
-  /// Mirror an externally maintained monotonic value (collector use).
-  void set(std::uint64_t v) noexcept {
-    if (cell_) *cell_ = v;
-  }
-  std::uint64_t value() const noexcept { return cell_ ? *cell_ : 0; }
-
- private:
-  friend class MetricsRegistry;
-  explicit Counter(std::uint64_t* cell) : cell_(cell) {}
-  std::uint64_t* cell_ = nullptr;
-};
-
-/// Point-in-time gauge handle (depths, occupancies, window sizes).
-class Gauge {
- public:
-  Gauge() = default;
-
-  void set(double v) noexcept {
-    if (cell_) *cell_ = v;
-  }
-  void add(double d) noexcept {
-    if (cell_) *cell_ += d;
-  }
-  double value() const noexcept { return cell_ ? *cell_ : 0.0; }
-
- private:
-  friend class MetricsRegistry;
-  explicit Gauge(double* cell) : cell_(cell) {}
-  double* cell_ = nullptr;
-};
 
 /// Histogram handle over the shared log-bucketed LatencyHistogram.
 class Histogram {
@@ -89,26 +52,46 @@ class Histogram {
 
 class MetricsRegistry;
 
-/// RAII registration of a collector callback: deregisters on destruction so
-/// a component whose lifetime ends before the registry's leaves no dangling
-/// callback behind.
-class CollectorHandle {
+/// One component's counter and gauge registrations. Every registration is
+/// its own registry entry, read through its function while the binding
+/// lives; destroying the binding freezes each entry at its last value.
+/// Declare it after every member its reads touch, so it is destroyed first.
+class MetricsBinding {
  public:
-  CollectorHandle() = default;
-  CollectorHandle(CollectorHandle&& other) noexcept;
-  CollectorHandle& operator=(CollectorHandle&& other) noexcept;
-  CollectorHandle(const CollectorHandle&) = delete;
-  CollectorHandle& operator=(const CollectorHandle&) = delete;
-  ~CollectorHandle() { release(); }
+  using Read = std::function<double()>;
 
-  void release() noexcept;
+  explicit MetricsBinding(MetricsRegistry& registry) noexcept
+      : registry_(&registry) {}
+  MetricsBinding(MetricsBinding&& other) noexcept;
+  MetricsBinding(const MetricsBinding&) = delete;
+  MetricsBinding& operator=(const MetricsBinding&) = delete;
+  ~MetricsBinding();
+
+  void counter(const std::string& name, const Labels& labels, Read read) {
+    add(MetricKind::kCounter, name, labels, std::move(read));
+  }
+  void gauge(const std::string& name, const Labels& labels, Read read) {
+    add(MetricKind::kGauge, name, labels, std::move(read));
+  }
+
+  /// A metric that is one arithmetic field of the component, read in place.
+  template <class T>
+    requires std::is_arithmetic_v<T>
+  void counter(const std::string& name, const Labels& labels, const T* field) {
+    counter(name, labels, [field] { return static_cast<double>(*field); });
+  }
+  template <class T>
+    requires std::is_arithmetic_v<T>
+  void gauge(const std::string& name, const Labels& labels, const T* field) {
+    gauge(name, labels, [field] { return static_cast<double>(*field); });
+  }
 
  private:
-  friend class MetricsRegistry;
-  CollectorHandle(MetricsRegistry* registry, std::uint64_t id)
-      : registry_(registry), id_(id) {}
-  MetricsRegistry* registry_ = nullptr;
-  std::uint64_t id_ = 0;
+  void add(MetricKind kind, const std::string& name, const Labels& labels,
+           Read read);
+
+  MetricsRegistry* registry_;         ///< Null once moved from.
+  std::vector<std::size_t> entries_;  ///< This binding's registry entries.
 };
 
 class MetricsRegistry {
@@ -117,53 +100,37 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  /// Register (or re-resolve) a metric. Registering the same name+labels
-  /// twice returns a handle to the same cell, so independent components can
-  /// share a series.
-  Counter counter(const std::string& name, const Labels& labels = {});
-  Gauge gauge(const std::string& name, const Labels& labels = {});
+  /// Register a histogram cell; every call is its own entry.
   Histogram histogram(const std::string& name, const Labels& labels = {});
-
-  /// Register a callback that publishes component state into cells; runs on
-  /// every collect(). Hold the returned handle for the component's lifetime.
-  [[nodiscard]] CollectorHandle add_collector(std::function<void()> fn);
-
-  /// Run all collectors so cells reflect current component state.
-  void collect();
 
   /// A registered metric, exposed for exporters and samplers.
   struct MetricInfo {
     std::string name;
     std::string label_text;  ///< Rendered `key="value",...` (may be empty).
     MetricKind kind = MetricKind::kCounter;
-    const std::uint64_t* counter = nullptr;
-    const double* gauge = nullptr;
+    MetricsBinding::Read read;  ///< Live read; empty once frozen.
+    double frozen = 0.0;        ///< Last value, once the binding died.
     const LatencyHistogram* hist = nullptr;
 
     /// Scalar value (histograms report their count).
-    double value() const noexcept;
+    double value() const;
     /// `name{labels}` or bare `name`.
     std::string full_name() const;
   };
 
-  /// Visit metrics in registration order. Does NOT run collectors first.
+  /// Visit metrics in registration order, reading live components.
   void visit(const std::function<void(const MetricInfo&)>& fn) const;
 
   std::size_t size() const noexcept { return metrics_.size(); }
 
  private:
-  friend class CollectorHandle;
+  friend class MetricsBinding;
 
-  MetricInfo& resolve(const std::string& name, const Labels& labels,
-                      MetricKind kind);
+  MetricInfo& add(const std::string& name, const Labels& labels,
+                  MetricKind kind);
 
-  std::deque<MetricInfo> metrics_;
-  std::deque<std::uint64_t> counter_cells_;
-  std::deque<double> gauge_cells_;
+  std::vector<MetricInfo> metrics_;
   std::deque<LatencyHistogram> hist_cells_;
-  std::map<std::string, std::size_t> index_;  ///< full name -> metrics_ idx.
-  std::map<std::uint64_t, std::function<void()>> collectors_;
-  std::uint64_t next_collector_id_ = 1;
 };
 
 }  // namespace ks::obs

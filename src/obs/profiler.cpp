@@ -28,10 +28,6 @@ namespace ks::obs {
 
 namespace {
 
-// Constant-initialized so profiler() is usable from static initializers
-// and the allocation hooks can run before main().
-constinit Profiler g_profiler;
-
 // Atomics because gtest/google-benchmark helpers may allocate off-thread;
 // relaxed is fine — the totals are read between runs, not concurrently.
 constinit std::atomic<std::uint64_t> g_alloc_count{0};
@@ -51,8 +47,6 @@ const char* to_string(ProfKey k) noexcept {
   }
   return "unknown";
 }
-
-Profiler& profiler() noexcept { return g_profiler; }
 
 Profiler::Snapshot Profiler::Snapshot::since(
     const Snapshot& start) const noexcept {

@@ -83,9 +83,15 @@ class Profiler {
   std::array<Section, kProfKeyCount> sections_{};
 };
 
-/// The process-wide profiler instance. Constant-initialized: safe to call
-/// from any static-initialization context.
-Profiler& profiler() noexcept;
+namespace detail {
+// Constant-initialized so profiler() is usable from static initializers.
+inline constinit Profiler g_profiler;
+}  // namespace detail
+
+/// The process-wide profiler instance. Safe to call from any
+/// static-initialization context; inline, so a disabled ProfScope costs one
+/// load and one branch.
+inline Profiler& profiler() noexcept { return detail::g_profiler; }
 
 /// RAII scope: samples the steady clock only when the profiler is enabled
 /// at construction; a disabled profiler makes ctor+dtor two predicted

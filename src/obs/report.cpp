@@ -482,11 +482,11 @@ bool RunReport::write_perfetto(const std::string& path) const {
   return ok;
 }
 
-RunReport build_run_report(MetricsRegistry& registry, const Sampler* sampler,
-                           const MessageTrace* trace, const SpanTracer* tracer,
+RunReport build_run_report(const MetricsRegistry& registry,
+                           const Sampler* sampler, const MessageTrace* trace,
+                           const SpanTracer* tracer,
                            const ClusterTimeline* timeline) {
   ProfScope prof(ProfKey::kReportBuild);
-  registry.collect();
   RunReport report;
   registry.visit([&](const MetricsRegistry::MetricInfo& m) {
     if (m.kind == MetricKind::kHistogram) {
@@ -528,8 +528,7 @@ RunReport build_run_report(MetricsRegistry& registry, const Sampler* sampler,
   return report;
 }
 
-std::string prometheus_text(MetricsRegistry& registry) {
-  registry.collect();
+std::string prometheus_text(const MetricsRegistry& registry) {
   std::string out;
   char buf[64];
   const auto emit = [&](const std::string& name, const std::string& labels,

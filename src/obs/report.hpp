@@ -198,17 +198,18 @@ struct RunReport {
 /// than the simulation (excluded from canonical_json()).
 bool is_wall_clock_metric(const std::string& name) noexcept;
 
-/// Snapshot `registry` (collectors are run) plus optional sampler series,
-/// trace, spans and timeline into a report. Callers add summary scalars
-/// afterwards. Close open spans (SpanTracer::close_open) before calling.
-RunReport build_run_report(MetricsRegistry& registry,
+/// Snapshot `registry` (live components are read, dead ones keep their
+/// frozen values) plus optional sampler series, trace, spans and timeline
+/// into a report. Callers add summary scalars afterwards. Close open spans
+/// (SpanTracer::close_open) before calling.
+RunReport build_run_report(const MetricsRegistry& registry,
                            const Sampler* sampler = nullptr,
                            const MessageTrace* trace = nullptr,
                            const SpanTracer* tracer = nullptr,
                            const ClusterTimeline* timeline = nullptr);
 
-/// Prometheus text exposition of the registry's current values (collectors
-/// are run first). Histograms export _count/_sum plus quantile gauges.
-std::string prometheus_text(MetricsRegistry& registry);
+/// Prometheus text exposition of the registry's current values.
+/// Histograms export _count/_sum plus quantile gauges.
+std::string prometheus_text(const MetricsRegistry& registry);
 
 }  // namespace ks::obs

@@ -6,7 +6,7 @@
 
 namespace ks::obs {
 
-Sampler::Sampler(MetricsRegistry& registry, Duration interval)
+Sampler::Sampler(const MetricsRegistry& registry, Duration interval)
     : registry_(registry), interval_(std::max<Duration>(interval, 1)) {}
 
 void Sampler::watch(std::string name_prefix) {
@@ -22,7 +22,6 @@ bool Sampler::watched(const std::string& name) const {
 }
 
 void Sampler::sample(TimePoint now) {
-  registry_.collect();
   times_.push_back(now);
   ++samples_;
   // Registry visit order is stable and append-only, so each metric's series

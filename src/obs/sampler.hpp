@@ -2,8 +2,8 @@
 //
 // The sampler is clock-agnostic — the driver calls sample(now) on its own
 // schedule (the experiment runner arms a recurring sim event) — so obs stays
-// below sim in the layering. Each sample runs the registry's collectors
-// first, then appends the current value of every watched metric.
+// below sim in the layering. Each sample appends the current value of every
+// watched metric, read from its component (or frozen, once it died).
 #pragma once
 
 #include <string>
@@ -24,7 +24,8 @@ class Sampler {
   };
 
   /// Watches every counter/gauge in `registry` unless watch() narrows it.
-  explicit Sampler(MetricsRegistry& registry, Duration interval = millis(100));
+  explicit Sampler(const MetricsRegistry& registry,
+                   Duration interval = millis(100));
 
   /// Restrict sampling to metrics whose name starts with one of the added
   /// prefixes. Callable multiple times; before the first call, all metrics
@@ -47,7 +48,7 @@ class Sampler {
  private:
   bool watched(const std::string& name) const;
 
-  MetricsRegistry& registry_;
+  const MetricsRegistry& registry_;
   Duration interval_;
   std::vector<std::string> prefixes_;
   std::vector<Series> series_;

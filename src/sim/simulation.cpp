@@ -8,18 +8,16 @@
 
 namespace ks::sim {
 
-Simulation::Simulation(std::uint64_t seed) : rng_(seed) {
-  m_events_ = metrics_.counter("sim_events_total");
-  m_wall_us_ = metrics_.counter("sim_wall_time_us_total");
-  m_pending_ = metrics_.gauge("sim_pending_events");
-  m_wall_us_per_sim_s_ = metrics_.gauge("sim_wall_us_per_sim_s");
-  metrics_collector_ = metrics_.add_collector([this] {
-    m_events_.set(executed_);
-    m_wall_us_.set(wall_time_us_);
-    m_pending_.set(static_cast<double>(queue_.size()));
-    m_wall_us_per_sim_s_.set(
-        now_ > 0 ? static_cast<double>(wall_time_us_) / to_seconds(now_)
-                 : 0.0);
+Simulation::Simulation(std::uint64_t seed)
+    : rng_(seed), metrics_binding_(metrics_) {
+  auto& m = metrics_binding_;
+  m.counter("sim_events_total", {}, &executed_);
+  m.counter("sim_wall_time_us_total", {}, &wall_time_us_);
+  m.gauge("sim_pending_events", {},
+          [this] { return static_cast<double>(queue_.size()); });
+  m.gauge("sim_wall_us_per_sim_s", {}, [this] {
+    return now_ > 0 ? static_cast<double>(wall_time_us_) / to_seconds(now_)
+                    : 0.0;
   });
 }
 

@@ -31,8 +31,8 @@ class Simulation {
   Rng& rng() noexcept { return rng_; }
 
   /// Per-simulation metrics registry. Components attached to this simulation
-  /// register their counters/gauges/collectors here; exporters and samplers
-  /// read it. Owned by the simulation so one experiment = one metric space.
+  /// bind their counters/gauges here; exporters and samplers read it. Owned
+  /// by the simulation so one experiment = one metric space.
   obs::MetricsRegistry& metrics() noexcept { return metrics_; }
 
   /// Per-simulation causal span tracer. Disabled by default (one branch per
@@ -87,11 +87,7 @@ class Simulation {
   obs::MetricsRegistry metrics_;
   obs::SpanTracer tracer_;
   obs::ClusterTimeline timeline_;
-  obs::Counter m_events_;
-  obs::Counter m_wall_us_;
-  obs::Gauge m_pending_;
-  obs::Gauge m_wall_us_per_sim_s_;
-  obs::CollectorHandle metrics_collector_;
+  obs::MetricsBinding metrics_binding_;  ///< Last: reads the members above.
 
   friend class Timer;  // Re-arms its pending expiry in place.
 };

@@ -18,29 +18,22 @@ Endpoint::Endpoint(sim::Simulation& sim, Config config, net::Link& tx,
       log_(name_, sim.clock_ptr()),
       rto_timer_(sim),
       persist_timer_(sim),
-      syn_timer_(sim) {
+      syn_timer_(sim),
+      metrics_binding_(sim.metrics()) {
   fresh_epoch_state();
 
-  auto& metrics = sim.metrics();
+  auto& m = metrics_binding_;
   const obs::Labels labels{{"conn", name_}};
-  m_segments_ = metrics.counter("tcp_segments_sent_total", labels);
-  m_retransmissions_ = metrics.counter("tcp_retransmissions_total", labels);
-  m_fast_retransmits_ = metrics.counter("tcp_fast_retransmits_total", labels);
-  m_rto_events_ = metrics.counter("tcp_rto_events_total", labels);
-  m_resets_ = metrics.counter("tcp_resets_total", labels);
-  m_bytes_acked_ = metrics.counter("tcp_acked_bytes_total", labels);
-  m_cwnd_ = metrics.gauge("tcp_cwnd_bytes", labels);
-  m_outstanding_ = metrics.gauge("tcp_outstanding_bytes", labels);
-  metrics_collector_ = metrics.add_collector([this] {
-    m_segments_.set(stats_.segments_sent);
-    m_retransmissions_.set(stats_.retransmissions);
-    m_fast_retransmits_.set(stats_.fast_retransmits);
-    m_rto_events_.set(stats_.rto_events);
-    m_resets_.set(stats_.resets);
-    m_bytes_acked_.set(static_cast<std::uint64_t>(stats_.bytes_acked));
-    m_cwnd_.set(established() ? cwnd_ : 0.0);
-    m_outstanding_.set(static_cast<double>(bytes_outstanding()));
-  });
+  m.counter("tcp_segments_sent_total", labels, &stats_.segments_sent);
+  m.counter("tcp_retransmissions_total", labels, &stats_.retransmissions);
+  m.counter("tcp_fast_retransmits_total", labels, &stats_.fast_retransmits);
+  m.counter("tcp_rto_events_total", labels, &stats_.rto_events);
+  m.counter("tcp_resets_total", labels, &stats_.resets);
+  m.counter("tcp_acked_bytes_total", labels, &stats_.bytes_acked);
+  m.gauge("tcp_cwnd_bytes", labels,
+          [this] { return established() ? cwnd_ : 0.0; });
+  m.gauge("tcp_outstanding_bytes", labels,
+          [this] { return static_cast<double>(bytes_outstanding()); });
 }
 
 void Endpoint::fresh_epoch_state() {

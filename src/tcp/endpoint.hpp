@@ -237,11 +237,7 @@ class Endpoint {
 
   Stats stats_;
 
-  // ---- observability (published from stats_/cwnd_ at collection time) ----
-  obs::Counter m_segments_, m_retransmissions_, m_fast_retransmits_;
-  obs::Counter m_rto_events_, m_resets_, m_bytes_acked_;
-  obs::Gauge m_cwnd_, m_outstanding_;
-  obs::CollectorHandle metrics_collector_;
+  obs::MetricsBinding metrics_binding_;  ///< Last: reads the members above.
 };
 
 /// Glue for a producer/consumer <-> broker duplex connection: two endpoints

@@ -478,9 +478,9 @@ void schedule_faults(Testbed& tb) {
 }
 
 // ---- probes: metric sampler -------------------------------------------------
-// A recurring sim event snapshots every counter and gauge (collectors first)
-// on the scenario's sampling interval. Its first tick precedes the group's
-// t = 0 member start, so it is scheduled before the group stage.
+// A recurring sim event snapshots every counter and gauge on the scenario's
+// sampling interval. Its first tick precedes the group's t = 0 member start,
+// so it is scheduled before the group stage.
 void start_sampler(Testbed& tb) {
   tb.sampler_tick = [&tb] {
     tb.sampler.sample(tb.sim.now());
@@ -1015,7 +1015,8 @@ void take_group_census(Testbed& tb) {
 }
 
 // ---- report -----------------------------------------------------------------
-// Structured run artifact: final snapshot (collectors run inside), time
+// Structured run artifact: final snapshot (components destroyed by earlier
+// stages, like the drain consumer, report their frozen final values), time
 // series, the sampled message trace, the causal spans and the cluster
 // timeline, plus the run-level summary the stages wrote.
 ExperimentResult write_report(Testbed& tb,

@@ -1,8 +1,9 @@
-// Unit tests for src/obs/: metrics registry + handles, collectors, the
-// sim-time sampler, the bounded message trace and the exporters.
+// Unit tests for src/obs/: metrics registry + bindings, the sim-time
+// sampler, the bounded message trace and the exporters.
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -18,47 +19,46 @@
 namespace ks::obs {
 namespace {
 
-TEST(MetricsRegistry, CounterIncrementAndRead) {
+/// The value the registry currently reports for `full_name`.
+double value_of(const MetricsRegistry& reg, const std::string& full_name) {
+  double v = -1.0;
+  reg.visit([&](const MetricsRegistry::MetricInfo& m) {
+    if (m.full_name() == full_name) v = m.value();
+  });
+  return v;
+}
+
+TEST(MetricsRegistry, BindingReadsCurrentValues) {
   MetricsRegistry reg;
-  Counter c = reg.counter("requests_total");
-  EXPECT_EQ(c.value(), 0u);
-  c.inc();
-  c.inc(9);
-  EXPECT_EQ(c.value(), 10u);
+  std::uint64_t requests = 0;
+  double depth = 0.0;
+  MetricsBinding binding(reg);
+  binding.counter("requests_total", {}, &requests);
+  binding.gauge("depth", {}, [&] { return depth; });
+  EXPECT_EQ(value_of(reg, "requests_total"), 0.0);
+  requests = 10;
+  depth = 2.5;
+  EXPECT_EQ(value_of(reg, "requests_total"), 10.0);
+  EXPECT_EQ(value_of(reg, "depth"), 2.5);
 }
 
 TEST(MetricsRegistry, DefaultHandlesAreInert) {
-  Counter c;
-  Gauge g;
   Histogram h;
-  c.inc();
-  g.set(3.0);
   h.observe(millis(1));
-  EXPECT_EQ(c.value(), 0u);
-  EXPECT_EQ(g.value(), 0.0);
   EXPECT_EQ(h.get(), nullptr);
 }
 
-TEST(MetricsRegistry, SameNameAndLabelsShareACell) {
+TEST(MetricsRegistry, SameNameAndLabelsAreSeparateEntries) {
   MetricsRegistry reg;
-  Counter a = reg.counter("x_total", {{"conn", "c1"}});
-  Counter b = reg.counter("x_total", {{"conn", "c1"}});
-  Counter other = reg.counter("x_total", {{"conn", "c2"}});
-  a.inc(5);
-  b.inc(2);
-  other.inc(1);
-  EXPECT_EQ(a.value(), 7u);
-  EXPECT_EQ(b.value(), 7u);
-  EXPECT_EQ(other.value(), 1u);
-  EXPECT_EQ(reg.size(), 2u);
-}
-
-TEST(MetricsRegistry, GaugeSetAndAdd) {
-  MetricsRegistry reg;
-  Gauge g = reg.gauge("depth");
-  g.set(4.0);
-  g.add(-1.5);
-  EXPECT_DOUBLE_EQ(g.value(), 2.5);
+  const std::uint64_t a = 5, b = 2, other = 1;
+  MetricsBinding first(reg), second(reg);
+  first.counter("x_total", {{"conn", "c1"}}, &a);
+  second.counter("x_total", {{"conn", "c1"}}, &b);
+  second.counter("x_total", {{"conn", "c2"}}, &other);
+  EXPECT_EQ(reg.size(), 3u);
+  const RunReport report = build_run_report(reg);
+  EXPECT_DOUBLE_EQ(report.metric("x_total{conn=\"c1\"}"), 7.0);
+  EXPECT_DOUBLE_EQ(report.metric("x_total"), 8.0);
 }
 
 TEST(MetricsRegistry, HistogramObserves) {
@@ -72,55 +72,57 @@ TEST(MetricsRegistry, HistogramObserves) {
 
 TEST(MetricsRegistry, HandlesStayValidAsRegistryGrows) {
   MetricsRegistry reg;
-  Counter first = reg.counter("first_total");
-  first.inc();
+  Histogram first = reg.histogram("first_us");
+  first.observe(millis(1));
+  const std::uint64_t v = 0;
+  MetricsBinding binding(reg);
   for (int i = 0; i < 200; ++i) {
-    reg.counter("c" + std::to_string(i));
-    reg.gauge("g" + std::to_string(i));
+    binding.counter("c" + std::to_string(i), {}, &v);
+    reg.histogram("h" + std::to_string(i));
   }
-  first.inc();
-  EXPECT_EQ(first.value(), 2u);  // Deque cells: no reallocation moved it.
+  first.observe(millis(1));  // Deque cells: no reallocation moved it.
+  EXPECT_EQ(first.get()->count(), 2u);
+  EXPECT_EQ(value_of(reg, "first_us"), 2.0);
 }
 
-TEST(MetricsRegistry, CollectorPublishesOnCollect) {
+TEST(MetricsRegistry, DestroyedBindingFreezesLastValue) {
   MetricsRegistry reg;
-  std::uint64_t source = 0;
-  Counter mirror = reg.counter("mirrored_total");
-  CollectorHandle h = reg.add_collector([&] { mirror.set(source); });
-  source = 42;
-  EXPECT_EQ(mirror.value(), 0u);  // Not yet collected.
-  reg.collect();
-  EXPECT_EQ(mirror.value(), 42u);
-}
-
-TEST(MetricsRegistry, CollectorHandleDeregistersOnDestruction) {
-  MetricsRegistry reg;
-  int calls = 0;
+  int reads = 0;
   {
-    CollectorHandle h = reg.add_collector([&] { ++calls; });
-    reg.collect();
-    EXPECT_EQ(calls, 1);
+    std::uint64_t sent = 0;
+    MetricsBinding binding(reg);
+    binding.counter("sent_total", {}, [&] {
+      ++reads;
+      return static_cast<double>(sent);
+    });
+    sent = 42;
   }
-  reg.collect();  // Handle gone: collector must not fire (or dangle).
-  EXPECT_EQ(calls, 1);
+  const int reads_at_death = reads;
+  EXPECT_EQ(value_of(reg, "sent_total"), 42.0);
+  EXPECT_EQ(reads, reads_at_death);  // Never called into the dead owner.
 }
 
-TEST(MetricsRegistry, CollectorHandleMoveTransfersOwnership) {
+TEST(MetricsRegistry, MovedBindingKeepsOwnership) {
   MetricsRegistry reg;
-  int calls = 0;
-  CollectorHandle outer;
+  std::uint64_t sent = 1;
+  std::optional<MetricsBinding> outer;
   {
-    CollectorHandle inner = reg.add_collector([&] { ++calls; });
-    outer = std::move(inner);
+    MetricsBinding inner(reg);
+    inner.counter("sent_total", {}, &sent);
+    outer.emplace(std::move(inner));
   }
-  reg.collect();
-  EXPECT_EQ(calls, 1);  // Moved-to handle kept the registration alive.
+  sent = 9;  // The moved-from binding froze nothing: still read live.
+  EXPECT_EQ(value_of(reg, "sent_total"), 9.0);
+  outer.reset();
+  sent = 11;
+  EXPECT_EQ(value_of(reg, "sent_total"), 9.0);
 }
 
 TEST(MetricsRegistry, VisitSeesAllKindsWithFullNames) {
   MetricsRegistry reg;
-  reg.counter("a_total");
-  reg.gauge("b", {{"k", "v"}});
+  MetricsBinding binding(reg);
+  binding.counter("a_total", {}, [] { return 0.0; });
+  binding.gauge("b", {{"k", "v"}}, [] { return 0.0; });
   reg.histogram("c_us");
   std::vector<std::string> names;
   reg.visit([&](const MetricsRegistry::MetricInfo& m) {
@@ -134,14 +136,17 @@ TEST(MetricsRegistry, VisitSeesAllKindsWithFullNames) {
 
 TEST(Sampler, BuildsAlignedSeries) {
   MetricsRegistry reg;
-  Counter c = reg.counter("events_total");
-  Gauge g = reg.gauge("depth");
+  std::uint64_t events = 0;
+  double depth = 0.0;
+  MetricsBinding binding(reg);
+  binding.counter("events_total", {}, &events);
+  binding.gauge("depth", {}, &depth);
   Sampler sampler(reg, millis(10));
-  c.inc(1);
-  g.set(2.0);
+  events = 1;
+  depth = 2.0;
   sampler.sample(millis(10));
-  c.inc(1);
-  g.set(5.0);
+  events = 2;
+  depth = 5.0;
   sampler.sample(millis(20));
 
   EXPECT_EQ(sampler.samples_taken(), 2u);
@@ -155,21 +160,11 @@ TEST(Sampler, BuildsAlignedSeries) {
   EXPECT_EQ(cs.t[1], millis(20));
 }
 
-TEST(Sampler, RunsCollectorsBeforeSnapshot) {
-  MetricsRegistry reg;
-  std::uint64_t source = 7;
-  Counter mirror = reg.counter("m_total");
-  CollectorHandle h = reg.add_collector([&] { mirror.set(source); });
-  Sampler sampler(reg);
-  sampler.sample(0);
-  ASSERT_EQ(sampler.series().size(), 1u);
-  EXPECT_DOUBLE_EQ(sampler.series()[0].v[0], 7.0);
-}
-
 TEST(Sampler, WatchPrefixNarrowsSelection) {
   MetricsRegistry reg;
-  reg.counter("tcp_segments_total");
-  reg.counter("kafka_batches_total");
+  MetricsBinding binding(reg);
+  binding.counter("tcp_segments_total", {}, [] { return 0.0; });
+  binding.counter("kafka_batches_total", {}, [] { return 0.0; });
   Sampler sampler(reg);
   sampler.watch("tcp_");
   sampler.sample(0);
@@ -179,12 +174,12 @@ TEST(Sampler, WatchPrefixNarrowsSelection) {
 
 TEST(Sampler, LateMetricsJoinWithShorterSeries) {
   MetricsRegistry reg;
-  Counter a = reg.counter("a_total");
+  const std::uint64_t a = 1, b = 3;
+  MetricsBinding binding(reg);
+  binding.counter("a_total", {}, &a);
   Sampler sampler(reg);
-  a.inc();
   sampler.sample(millis(1));
-  Counter b = reg.counter("b_total");
-  b.inc(3);
+  binding.counter("b_total", {}, &b);
   sampler.sample(millis(2));
   ASSERT_EQ(sampler.series().size(), 2u);
   EXPECT_EQ(sampler.series()[0].v.size(), 2u);
@@ -194,11 +189,13 @@ TEST(Sampler, LateMetricsJoinWithShorterSeries) {
 
 TEST(Sampler, CsvHasHeaderAndOneRowPerSample) {
   MetricsRegistry reg;
-  Counter c = reg.counter("n_total");
+  std::uint64_t n = 0;
+  MetricsBinding binding(reg);
+  binding.counter("n_total", {}, &n);
   Sampler sampler(reg);
-  c.inc();
+  n = 1;
   sampler.sample(1000);
-  c.inc();
+  n = 2;
   sampler.sample(2000);
   const std::string csv = sampler.to_csv();
   EXPECT_NE(csv.find("time_us,n_total"), std::string::npos);
@@ -280,10 +277,11 @@ TEST(JsonWriter, NonFiniteBecomesNull) {
 
 TEST(Exporters, PrometheusTextContainsTypeAndValues) {
   MetricsRegistry reg;
-  Counter c = reg.counter("requests_total", {{"conn", "a"}});
-  c.inc(3);
-  Gauge g = reg.gauge("depth");
-  g.set(1.5);
+  const std::uint64_t requests = 3;
+  const double depth = 1.5;
+  MetricsBinding binding(reg);
+  binding.counter("requests_total", {{"conn", "a"}}, &requests);
+  binding.gauge("depth", {}, &depth);
   Histogram h = reg.histogram("lat_us");
   h.observe(millis(1));
   const std::string text = prometheus_text(reg);
@@ -295,8 +293,9 @@ TEST(Exporters, PrometheusTextContainsTypeAndValues) {
 
 TEST(Exporters, RunReportCarriesMetricsSeriesAndTrace) {
   MetricsRegistry reg;
-  Counter c = reg.counter("events_total");
-  c.inc(2);
+  const std::uint64_t events = 2;
+  MetricsBinding binding(reg);
+  binding.counter("events_total", {}, &events);
   Histogram h = reg.histogram("lat_us");
   h.observe(millis(3));
   Sampler sampler(reg);
@@ -321,20 +320,32 @@ TEST(Exporters, RunReportCarriesMetricsSeriesAndTrace) {
   EXPECT_NE(json.find("\"events_total\""), std::string::npos);
 }
 
-TEST(Exporters, RunReportCollectsBeforeSnapshot) {
+// A stage that ends before the report (the drain consumer) keeps its final
+// counts, read after its last sampler tick.
+TEST(Exporters, RunReportKeepsFinalValuesOfDestroyedComponents) {
   MetricsRegistry reg;
-  std::uint64_t source = 13;
-  Counter mirror = reg.counter("m_total");
-  CollectorHandle h = reg.add_collector([&] { mirror.set(source); });
-  const RunReport report = build_run_report(reg);
-  EXPECT_DOUBLE_EQ(report.metric("m_total"), 13.0);
+  Sampler sampler(reg);
+  {
+    std::uint64_t records = 5;
+    MetricsBinding binding(reg);
+    binding.counter("records_total", {}, &records);
+    sampler.sample(millis(1));
+    records = 13;
+  }
+  sampler.sample(millis(2));
+  const RunReport report = build_run_report(reg, &sampler);
+  EXPECT_DOUBLE_EQ(report.metric("records_total"), 13.0);
+  ASSERT_EQ(report.series.size(), 1u);
+  EXPECT_DOUBLE_EQ(report.series[0].v.back(), 13.0);
   EXPECT_THROW(report.metric("missing"), std::out_of_range);
 }
 
 TEST(Exporters, RunReportMetricSumsBareNamesOverLabelSets) {
   MetricsRegistry reg;
-  reg.counter("sent_total", {{"conn", "a"}}).inc(3);
-  reg.counter("sent_total", {{"conn", "b"}}).inc(4);
+  const std::uint64_t a = 3, b = 4;
+  MetricsBinding binding(reg);
+  binding.counter("sent_total", {{"conn", "a"}}, &a);
+  binding.counter("sent_total", {{"conn", "b"}}, &b);
   const RunReport report = build_run_report(reg);
   EXPECT_DOUBLE_EQ(report.metric("sent_total"), 7.0);
   EXPECT_DOUBLE_EQ(report.metric("sent_total{conn=\"b\"}"), 4.0);

@@ -186,6 +186,39 @@ TEST(Experiment, OnDemandModeHasNoOverruns) {
   EXPECT_EQ(r.census.lost, 0u);
 }
 
+// The drain consumer, its links and its TCP pairs are destroyed before the
+// report is built; the report must still carry their final counts, whatever
+// the sampler's schedule.
+void expect_drain_counts_reported(const Scenario& sc) {
+  const auto r = run_experiment(sc);
+  ASSERT_GT(r.consumer_records, 0u);
+  EXPECT_EQ(r.report.metric("kafka_consumer_records_total"),
+            static_cast<double>(r.consumer_records));
+  EXPECT_GT(r.report.metric(
+                "tcp_segments_sent_total{conn=\"cons-conn0:client\"}"),
+            0.0);
+}
+
+TEST(Experiment, ReportKeepsDrainCountsInTheTableIShape) {
+  Scenario sc;
+  sc.message_size = 100;
+  sc.network_delay = millis(100);
+  sc.packet_loss = 0.19;
+  sc.message_timeout = millis(2000);
+  sc.request_timeout = millis(1200);
+  sc.source_interval = micros(4000);
+  sc.num_messages = 4000;
+  sc.seed = 1;
+  expect_drain_counts_reported(sc);
+}
+
+TEST(Experiment, ReportKeepsDrainCountsWithoutSampling) {
+  Scenario sc;
+  sc.num_messages = 4000;
+  sc.sample_interval = 0;
+  expect_drain_counts_reported(sc);
+}
+
 // Stage matrix: one scenario per testbed stage or wiring branch, each with
 // its message fates and simulated event count pinned. A change to how the
 // runner wires a run must leave every number here unchanged.
@@ -322,6 +355,35 @@ INSTANTIATE_TEST_SUITE_P(Experiment, StageMatrix,
                          [](const testing::TestParamInfo<StageCase>& info) {
                            return std::string(info.param.name);
                          });
+
+// A replicated drain connects to every broker and follows the partition's
+// leader after a failover; all of those connections end with the drain, and
+// the report must still carry their final counts.
+TEST(Experiment, ReportKeepsDrainCountsAfterABrokerFailover) {
+  Scenario sc;
+  sc.semantics = kafka::DeliverySemantics::kExactlyOnce;
+  sc.replication_factor = 3;
+  sc.min_insync_replicas = 2;
+  sc.request_timeout = millis(300);
+  sc.retries_override = 50;
+  sc.message_timeout = seconds(120);
+  sc.faults = {fault_at(FaultAction::Kind::kBrokerFail, millis(300)),
+               fault_at(FaultAction::Kind::kBrokerResume, millis(900))};
+  sc.num_messages = 4000;
+  const auto r = run_experiment(sc);
+  ASSERT_GT(r.consumer_records, 0u);
+  EXPECT_EQ(r.report.metric("kafka_consumer_records_total"),
+            static_cast<double>(r.consumer_records));
+  double drain_segments = 0.0;
+  for (const auto& m : r.report.metrics) {
+    if (m.name == "tcp_segments_sent_total" &&
+        m.labels.starts_with("conn=\"cons-conn") &&
+        m.labels.ends_with(":client\"")) {
+      drain_segments += m.value;
+    }
+  }
+  EXPECT_GT(drain_segments, 0.0);
+}
 
 /// Records the telemetry of every tick and never reconfigures.
 class RecordingDriver : public AdaptiveDriver {
