@@ -42,71 +42,82 @@ struct KeyWalk {
     illegal = true;
   }
 
-  void step(const obs::RunReport::TraceEntry& e) {
+  void step(const obs::MessageTrace::Entry& e) {
     if (illegal) return;
-    if (e.event == "overrun") {
-      ++overruns;
-      if (sends + appends + acks + expiries + fails > 0) {
-        flag("overrun after another lifecycle event");
-      }
-    } else if (e.event == "send_attempt") {
-      ++sends;
-      if (overruns > 0) flag("send after overrun");
-      if (expiries > 0) flag("send after pre-send expiry");
-      if (fails > 0) flag("send after terminal failure");
-      if (acks > 0) flag("send after ack");
-      if (e.detail != 1) flag(fmt("initial attempt numbered %d", e.detail));
-      if (last_attempt != 0) flag("second initial send attempt");
-      last_attempt = 1;
-    } else if (e.event == "retry") {
-      ++sends;
-      if (overruns > 0) flag("retry after overrun");
-      if (expiries > 0) flag("retry after pre-send expiry");
-      if (fails > 0) flag("retry after terminal failure");
-      if (acks > 0) flag("retry after ack");
-      if (e.detail != last_attempt + 1) {
-        flag(fmt("attempt %d after attempt %d (transition III must be "
-                 "consecutive)",
-                 e.detail, last_attempt));
-      }
-      last_attempt = e.detail;
-    } else if (e.event == "appended") {
-      ++appends;
-      // Late appends after the producer gave up (failed) or resolved
-      // (acked) are legal — that is exactly how Case 5 duplicates and
-      // lost-then-persisted races arise. But an append with no send at
-      // all is impossible.
-      if (sends == 0) flag("append with no send attempt (transition I/IV "
-                          "without I/II)");
-      if (overruns > 0) flag("append after overrun");
-      if (expiries > 0) flag("append after pre-send expiry");
-    } else if (e.event == "acked") {
-      ++acks;
-      if (appends == 0) flag("ack with no append (V before I/IV)");
-      if (acks > 1) flag("record acked twice");
-      if (fails > 0) flag("ack after terminal failure");
-    } else if (e.event == "expired") {
-      ++expiries;
-      if (sends + appends + acks + fails > 0) {
-        flag("pre-send expiry after other lifecycle events");
-      }
-      if (expiries > 1) flag("record expired twice");
-    } else if (e.event == "failed") {
-      ++fails;
-      if (sends == 0) flag("failure with no send attempt");
-      if (acks > 0) flag("failure after ack");
-      if (fails > 1) flag("record failed twice");
-    } else if (e.event == "fetched") {
-      ++fetched;
-      // A consumer can only read a record some leader once appended.
-      if (appends == 0) flag("fetched with no append");
-    } else if (e.event == "delivered") {
-      ++delivered;
-      if (fetched == 0) flag("delivered with no fetch");
-      if (delivered > 1) flag("first-delivery recorded twice");
-    } else if (e.event == "dup_detected") {
-      if (delivered == 0) flag("duplicate detected before first delivery");
-      if (fetched < 2) flag("duplicate detected with fewer than two fetches");
+    switch (e.event) {
+      case obs::TraceEvent::kOverrun:
+        ++overruns;
+        if (sends + appends + acks + expiries + fails > 0) {
+          flag("overrun after another lifecycle event");
+        }
+        break;
+      case obs::TraceEvent::kSendAttempt:
+        ++sends;
+        if (overruns > 0) flag("send after overrun");
+        if (expiries > 0) flag("send after pre-send expiry");
+        if (fails > 0) flag("send after terminal failure");
+        if (acks > 0) flag("send after ack");
+        if (e.detail != 1) flag(fmt("initial attempt numbered %d", e.detail));
+        if (last_attempt != 0) flag("second initial send attempt");
+        last_attempt = 1;
+        break;
+      case obs::TraceEvent::kRetry:
+        ++sends;
+        if (overruns > 0) flag("retry after overrun");
+        if (expiries > 0) flag("retry after pre-send expiry");
+        if (fails > 0) flag("retry after terminal failure");
+        if (acks > 0) flag("retry after ack");
+        if (e.detail != last_attempt + 1) {
+          flag(fmt("attempt %d after attempt %d (transition III must be "
+                   "consecutive)",
+                   e.detail, last_attempt));
+        }
+        last_attempt = e.detail;
+        break;
+      case obs::TraceEvent::kAppended:
+        ++appends;
+        // Late appends after the producer gave up (failed) or resolved
+        // (acked) are legal — that is exactly how Case 5 duplicates and
+        // lost-then-persisted races arise. But an append with no send at
+        // all is impossible.
+        if (sends == 0) flag("append with no send attempt (transition I/IV "
+                            "without I/II)");
+        if (overruns > 0) flag("append after overrun");
+        if (expiries > 0) flag("append after pre-send expiry");
+        break;
+      case obs::TraceEvent::kAcked:
+        ++acks;
+        if (appends == 0) flag("ack with no append (V before I/IV)");
+        if (acks > 1) flag("record acked twice");
+        if (fails > 0) flag("ack after terminal failure");
+        break;
+      case obs::TraceEvent::kExpired:
+        ++expiries;
+        if (sends + appends + acks + fails > 0) {
+          flag("pre-send expiry after other lifecycle events");
+        }
+        if (expiries > 1) flag("record expired twice");
+        break;
+      case obs::TraceEvent::kFailed:
+        ++fails;
+        if (sends == 0) flag("failure with no send attempt");
+        if (acks > 0) flag("failure after ack");
+        if (fails > 1) flag("record failed twice");
+        break;
+      case obs::TraceEvent::kFetched:
+        ++fetched;
+        // A consumer can only read a record some leader once appended.
+        if (appends == 0) flag("fetched with no append");
+        break;
+      case obs::TraceEvent::kDelivered:
+        ++delivered;
+        if (fetched == 0) flag("delivered with no fetch");
+        if (delivered > 1) flag("first-delivery recorded twice");
+        break;
+      case obs::TraceEvent::kDupDetected:
+        if (delivered == 0) flag("duplicate detected before first delivery");
+        if (fetched < 2) flag("duplicate detected with fewer than two fetches");
+        break;
     }
   }
 };
@@ -354,10 +365,12 @@ void check_health(const ChaosScenario& cs,
     const std::int64_t deadline = static_cast<std::int64_t>(f.at) + grace;
     bool caught = false;
     for (const auto& a : health.alerts) {
-      if (a.detector != "lag_stall" && a.detector != "lag_stop") continue;
-      const bool opened_in_time = a.opened_us <= deadline;
-      const bool still_relevant =
-          a.resolved_us == -1 || a.resolved_us >= static_cast<std::int64_t>(f.at);
+      if (a.detector != obs::HealthDetector::kLagStall &&
+          a.detector != obs::HealthDetector::kLagStop) {
+        continue;
+      }
+      const bool opened_in_time = a.opened <= deadline;
+      const bool still_relevant = a.resolved == -1 || a.resolved >= f.at;
       if (opened_in_time && still_relevant) {
         caught = true;
         break;
@@ -396,7 +409,7 @@ void check_adaptive(const ChaosScenario& cs,
                    result.adaptive_reconfigurations))});
     }
     for (const auto& e : result.report.timeline) {
-      if (e.kind == "reconfigure") {
+      if (e.kind == obs::ClusterEventKind::kReconfigure) {
         out.push_back({"adaptive-passivity",
                        "controller disabled but a reconfigure event is on "
                        "the timeline"});

@@ -190,7 +190,6 @@ class Broker {
 
   const Stats& stats() const noexcept { return stats_; }
   const Config& config() const noexcept { return config_; }
-  bool in_bad_regime() const noexcept { return !modulator_.good(); }
 
   /// Observer invoked for every leader-side record append: (partition,
   /// record, offset). Used by the message-state tracker and the

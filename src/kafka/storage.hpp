@@ -166,9 +166,6 @@ class SegmentedLog {
   std::int64_t end_offset() const noexcept { return end_offset_; }
   Bytes dirty_bytes() const noexcept { return dirty_bytes_; }
   std::size_t segment_count() const noexcept { return segments_.size(); }
-  std::int64_t expected_recover_end() const noexcept {
-    return expected_recover_end_;
-  }
 
  private:
   struct StoredBatch {

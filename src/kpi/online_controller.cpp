@@ -7,12 +7,7 @@
 
 namespace ks::kpi {
 
-namespace {
-
-/// The synthetic closed-form training sets from the KPI test fixture:
-/// known monotone structure (P_l falls with T_o and B, rises with L),
-/// deterministic grids, trains in well under a second.
-ann::Dataset synth_normal() {
+ann::Dataset synthetic_normal_dataset() {
   ann::Dataset ds;
   for (double s : {1000.0, 5000.0}) {
     for (double t_o = 250; t_o <= 2000; t_o += 250) {
@@ -32,7 +27,7 @@ ann::Dataset synth_normal() {
   return ds;
 }
 
-ann::Dataset synth_abnormal() {
+ann::Dataset synthetic_abnormal_dataset() {
   ann::Dataset ds;
   for (double m : {50.0, 200.0, 600.0, 1000.0}) {
     for (double d : {20.0, 100.0}) {
@@ -51,6 +46,8 @@ ann::Dataset synth_abnormal() {
   ds.finalize();
   return ds;
 }
+
+namespace {
 
 std::string describe_decision(const testbed::AdaptiveDecision& d,
                               const DynamicParams& current,
@@ -169,15 +166,20 @@ const ReliabilityPredictor& synthetic_predictor() {
     tc.learning_rate = 0.5;
     tc.batch_size = 16;
     Rng rng(42);
-    p->train(synth_normal(), synth_abnormal(), tc, rng);
+    p->train(synthetic_normal_dataset(), synthetic_abnormal_dataset(), tc,
+             rng);
     return p;
   }();
   return *instance;
 }
 
 testbed::AdaptiveFactory synthetic_adaptive_factory() {
-  return online_adaptive_factory(synthetic_predictor(),
-                                 KpiWeights::defaults());
+  // Trains on the first driver build, so a scenario that merely carries
+  // the factory and never enables the controller costs no training.
+  return [](const testbed::Scenario& scenario) {
+    return online_adaptive_factory(synthetic_predictor(),
+                                   KpiWeights::defaults())(scenario);
+  };
 }
 
 }  // namespace ks::kpi

@@ -66,15 +66,22 @@ testbed::AdaptiveFactory online_adaptive_factory(
     const ReliabilityPredictor& predictor, KpiWeights weights,
     double gamma_requirement = 0.9, OnlineController::Config config = {});
 
-/// A process-lifetime predictor trained once on the synthetic closed-form
-/// datasets (the kpi_test recipe: deterministic grids + Rng(42)); cheap,
-/// deterministic backing for chaos scenarios and tests that need a
-/// trained predictor without a collection run.
+/// Synthetic closed-form training sets with a known monotone structure
+/// (P_l falls with T_o and B, rises with L) over deterministic grids: the
+/// normal-case and abnormal-case halves of synthetic_predictor()'s data.
+ann::Dataset synthetic_normal_dataset();
+ann::Dataset synthetic_abnormal_dataset();
+
+/// A process-lifetime predictor trained once, on first use, on the
+/// synthetic datasets (150 epochs, Rng(42)); deterministic backing for
+/// chaos scenarios and tests that need a trained predictor without a
+/// collection run.
 const ReliabilityPredictor& synthetic_predictor();
 
 /// online_adaptive_factory() over synthetic_predictor() with default
 /// weights — what the chaos generator installs for its adaptive
-/// dimension.
+/// dimension. The predictor trains on the factory's first call, not when
+/// the factory is made.
 testbed::AdaptiveFactory synthetic_adaptive_factory();
 
 }  // namespace ks::kpi

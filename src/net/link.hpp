@@ -72,9 +72,6 @@ class Link {
   /// the bandwidth-utilisation KPI input (phi).
   double utilization() const noexcept;
 
-  /// Bytes currently queued awaiting serialization.
-  Bytes queued_bytes() const noexcept { return queued_bytes_; }
-
  private:
   void deliver_after_wire(Packet packet, bool duplicate_pass);
 

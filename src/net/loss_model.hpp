@@ -57,7 +57,6 @@ class GilbertElliottLoss final : public LossModel {
   bool drop(TimePoint, Rng& rng) override;
   double stationary_rate() const override;
 
-  bool in_bad_state() const noexcept { return bad_; }
   const Params& params() const noexcept { return params_; }
 
  private:

@@ -24,182 +24,150 @@ std::string fmt(const char* format, ...) {
 }
 
 /// Narrative phrasing of one per-key lifecycle event.
-std::string describe_trace_entry(const RunReport::TraceEntry& e) {
-  if (e.event == "emitted") return "emitted by the source";
-  if (e.event == "overrun") return "evicted from the source ring (overrun)";
-  if (e.event == "send_attempt") {
-    return fmt("produce attempt %d sent", e.detail);
+std::string describe_trace_entry(const MessageTrace::Entry& e) {
+  switch (e.event) {
+    case TraceEvent::kOverrun: return "evicted from the source ring (overrun)";
+    case TraceEvent::kSendAttempt:
+      return fmt("produce attempt %d sent", e.detail);
+    case TraceEvent::kRetry: return fmt("retried (attempt %d)", e.detail);
+    case TraceEvent::kAppended: return fmt("appended on broker %d", e.detail);
+    case TraceEvent::kAcked: return "acked to the producer";
+    case TraceEvent::kExpired: return "expired in the accumulator (T_o)";
+    case TraceEvent::kFailed: return "failed: retries/timeout exhausted";
+    case TraceEvent::kFetched:
+      return fmt("fetched by the consumer (offset %d)", e.detail);
+    case TraceEvent::kDelivered:
+      return "delivered to the consumer application";
+    case TraceEvent::kDupDetected:
+      return fmt("DUPLICATE delivery detected (offset %d)", e.detail);
   }
-  if (e.event == "retry") return fmt("retried (attempt %d)", e.detail);
-  if (e.event == "appended") {
-    return fmt("appended on broker %d", e.detail);
-  }
-  if (e.event == "acked") return "acked to the producer";
-  if (e.event == "expired") return "expired in the accumulator (T_o)";
-  if (e.event == "failed") return "failed: retries/timeout exhausted";
-  if (e.event == "fetched") {
-    return fmt("fetched by the consumer (offset %d)", e.detail);
-  }
-  if (e.event == "delivered") return "delivered to the consumer application";
-  if (e.event == "dup_detected") {
-    return fmt("DUPLICATE delivery detected (offset %d)", e.detail);
-  }
-  return e.event;
+  return to_string(e.event);
 }
 
 }  // namespace
 
-std::string describe_timeline_entry(const RunReport::TimelineEntry& e) {
-  if (e.kind == "broker_fail") {
-    return fmt("broker %d fail-stop", e.broker);
+std::string describe_timeline_entry(const ClusterEvent& e) {
+  switch (e.kind) {
+    case ClusterEventKind::kBrokerFail:
+      return fmt("broker %d fail-stop", e.broker);
+    case ClusterEventKind::kBrokerResume:
+      return e.a != 0
+                 ? fmt("broker %d back up after hard restart (log rebuilt "
+                       "from the recovery scan)",
+                       e.broker)
+                 : fmt("broker %d resumed (log intact)", e.broker);
+    case ClusterEventKind::kFailureDetected:
+      return fmt("controller detected broker %d failure", e.broker);
+    case ClusterEventKind::kLeaderElected:
+      return fmt("%s election: broker %d leads partition %d (epoch %lld)",
+                 e.b != 0 ? "clean" : "UNCLEAN", e.broker, e.partition,
+                 static_cast<long long>(e.a));
+    case ClusterEventKind::kPartitionOffline:
+      return fmt("partition %d OFFLINE: no eligible leader", e.partition);
+    case ClusterEventKind::kIsrShrink:
+      return fmt("broker %d dropped from ISR of partition %d (ISR size %lld)",
+                 e.broker, e.partition, static_cast<long long>(e.a));
+    case ClusterEventKind::kIsrExpand:
+      return fmt("broker %d rejoined ISR of partition %d (ISR size %lld)",
+                 e.broker, e.partition, static_cast<long long>(e.a));
+    case ClusterEventKind::kTruncation:
+      return fmt("broker %d truncated %lld records (log end now %lld)",
+                 e.broker, static_cast<long long>(e.a),
+                 static_cast<long long>(e.b));
+    case ClusterEventKind::kCommittedRegression:
+      return fmt(
+          "COMMITTED REGRESSION: new leader's log end %lld below committed "
+          "HW %lld",
+          static_cast<long long>(e.a), static_cast<long long>(e.b));
+    case ClusterEventKind::kProducerFailover:
+      return fmt("producer failed over to broker %d", e.broker);
+    case ClusterEventKind::kSequenceEpochBump:
+      return "producer bumped its idempotence epoch (sequence gap heal)";
+    case ClusterEventKind::kConnectionReset:
+      return "connection reset: " + e.note;
+    case ClusterEventKind::kConsumerFailover:
+      return fmt("consumer failed over to broker %d", e.broker);
+    case ClusterEventKind::kConsumerTruncation:
+      return fmt("consumer offset beyond leader HW; rewound to %lld",
+                 static_cast<long long>(e.a));
+    case ClusterEventKind::kConsumerStall:
+      return "consumer stalled: fetch-retry budget exhausted";
+    case ClusterEventKind::kFaultInjected:
+      return "fault injected: " + e.note;
+    case ClusterEventKind::kPowerLoss:
+      return fmt("broker %d POWER LOSS: %lld records erased from disk%s",
+                 e.broker, static_cast<long long>(e.a),
+                 e.b != 0 ? " (torn tail batch left behind)" : "");
+    case ClusterEventKind::kRecoveryScan:
+      return fmt(
+          "broker %d recovery scan on partition %d: %lld records "
+          "recovered, %lld discarded",
+          e.broker, e.partition, static_cast<long long>(e.a),
+          static_cast<long long>(e.b));
+    case ClusterEventKind::kTornTailTruncated:
+      return fmt(
+          "broker %d partition %d: torn tail batch failed CRC, %lld "
+          "records truncated (log end now %lld)",
+          e.broker, e.partition, static_cast<long long>(e.a),
+          static_cast<long long>(e.b));
+    case ClusterEventKind::kCorruptBatchDropped:
+      return fmt(
+          "broker %d partition %d: %lld corrupt batch%s failed CRC, "
+          "dropped (log end now %lld)",
+          e.broker, e.partition, static_cast<long long>(e.a),
+          e.a == 1 ? "" : "es", static_cast<long long>(e.b));
+    case ClusterEventKind::kGroupMemberJoined:
+      return fmt("group member %s joined (%lld member%s)", e.note.c_str(),
+                 static_cast<long long>(e.a), e.a == 1 ? "" : "s");
+    case ClusterEventKind::kGroupMemberLeft:
+      return fmt("group member %s left (%lld remaining)", e.note.c_str(),
+                 static_cast<long long>(e.a));
+    case ClusterEventKind::kGroupMemberEvicted:
+      return fmt("group member %s EVICTED: session expired %.0fms ago",
+                 e.note.c_str(), static_cast<double>(e.a) / 1000.0);
+    case ClusterEventKind::kGroupRebalanceBegin:
+      return fmt("group rebalance begins (generation %lld, %lld member%s)",
+                 static_cast<long long>(e.a), static_cast<long long>(e.b),
+                 e.b == 1 ? "" : "s");
+    case ClusterEventKind::kGroupPartitionsRevoked:
+      return fmt("%lld partition%s revoked from %s (generation %lld)",
+                 static_cast<long long>(e.a), e.a == 1 ? "" : "s",
+                 e.note.c_str(), static_cast<long long>(e.b));
+    case ClusterEventKind::kGroupPartitionsAssigned:
+      return fmt("%lld partition%s assigned to %s (generation %lld)",
+                 static_cast<long long>(e.a), e.a == 1 ? "" : "s",
+                 e.note.c_str(), static_cast<long long>(e.b));
+    case ClusterEventKind::kGroupGenerationStable:
+      return fmt("group stable at generation %lld with %lld member%s",
+                 static_cast<long long>(e.a), static_cast<long long>(e.b),
+                 e.b == 1 ? "" : "s");
+    case ClusterEventKind::kGroupZombieFenced:
+      return fmt(
+          "ZOMBIE FENCED: commit from %s under stale generation %lld "
+          "rejected (current %lld)",
+          e.note.c_str(), static_cast<long long>(e.a),
+          static_cast<long long>(e.b));
+    case ClusterEventKind::kHealthAlertOpen: {
+      std::string subject;
+      if (e.partition >= 0) subject = fmt(" on partition %d", e.partition);
+      if (e.broker >= 0) subject += fmt(" on broker %d", e.broker);
+      return fmt("HEALTH ALERT %s%s (detected after %lld windows)",
+                 e.note.c_str(), subject.c_str(), static_cast<long long>(e.a));
+    }
+    case ClusterEventKind::kHealthAlertResolved: {
+      std::string subject;
+      if (e.partition >= 0) subject = fmt(" on partition %d", e.partition);
+      if (e.broker >= 0) subject += fmt(" on broker %d", e.broker);
+      return fmt("health alert %s%s resolved (open %.0fms)", e.note.c_str(),
+                 subject.c_str(), static_cast<double>(e.a) / 1000.0);
+    }
+    case ClusterEventKind::kReconfigure:
+      return fmt("%s: controller %s [%s] (predicted gamma %.4f)",
+                 e.a != 0 ? "RECONFIGURE" : "reconfigure considered",
+                 e.a != 0 ? "retuned the producer" : "held the configuration",
+                 e.note.c_str(), static_cast<double>(e.b) / 1e6);
   }
-  if (e.kind == "broker_resume") {
-    return e.a != 0
-               ? fmt("broker %d back up after hard restart (log rebuilt "
-                     "from the recovery scan)",
-                     e.broker)
-               : fmt("broker %d resumed (log intact)", e.broker);
-  }
-  if (e.kind == "failure_detected") {
-    return fmt("controller detected broker %d failure", e.broker);
-  }
-  if (e.kind == "leader_elected") {
-    return fmt("%s election: broker %d leads partition %d (epoch %lld)",
-               e.b != 0 ? "clean" : "UNCLEAN", e.broker, e.partition,
-               static_cast<long long>(e.a));
-  }
-  if (e.kind == "partition_offline") {
-    return fmt("partition %d OFFLINE: no eligible leader", e.partition);
-  }
-  if (e.kind == "isr_shrink") {
-    return fmt("broker %d dropped from ISR of partition %d (ISR size %lld)",
-               e.broker, e.partition, static_cast<long long>(e.a));
-  }
-  if (e.kind == "isr_expand") {
-    return fmt("broker %d rejoined ISR of partition %d (ISR size %lld)",
-               e.broker, e.partition, static_cast<long long>(e.a));
-  }
-  if (e.kind == "truncation") {
-    return fmt("broker %d truncated %lld records (log end now %lld)",
-               e.broker, static_cast<long long>(e.a),
-               static_cast<long long>(e.b));
-  }
-  if (e.kind == "committed_regression") {
-    return fmt(
-        "COMMITTED REGRESSION: new leader's log end %lld below committed "
-        "HW %lld",
-        static_cast<long long>(e.a), static_cast<long long>(e.b));
-  }
-  if (e.kind == "producer_failover") {
-    return fmt("producer failed over to broker %d", e.broker);
-  }
-  if (e.kind == "sequence_epoch_bump") {
-    return "producer bumped its idempotence epoch (sequence gap heal)";
-  }
-  if (e.kind == "connection_reset") {
-    return "connection reset: " + e.note;
-  }
-  if (e.kind == "consumer_failover") {
-    return fmt("consumer failed over to broker %d", e.broker);
-  }
-  if (e.kind == "consumer_truncation") {
-    return fmt("consumer offset beyond leader HW; rewound to %lld",
-               static_cast<long long>(e.a));
-  }
-  if (e.kind == "consumer_stall") {
-    return "consumer stalled: fetch-retry budget exhausted";
-  }
-  if (e.kind == "fault_injected") {
-    return "fault injected: " + e.note;
-  }
-  if (e.kind == "power_loss") {
-    return fmt("broker %d POWER LOSS: %lld records erased from disk%s",
-               e.broker, static_cast<long long>(e.a),
-               e.b != 0 ? " (torn tail batch left behind)" : "");
-  }
-  if (e.kind == "recovery_scan") {
-    return fmt(
-        "broker %d recovery scan on partition %d: %lld records "
-        "recovered, %lld discarded",
-        e.broker, e.partition, static_cast<long long>(e.a),
-        static_cast<long long>(e.b));
-  }
-  if (e.kind == "torn_tail_truncated") {
-    return fmt(
-        "broker %d partition %d: torn tail batch failed CRC, %lld "
-        "records truncated (log end now %lld)",
-        e.broker, e.partition, static_cast<long long>(e.a),
-        static_cast<long long>(e.b));
-  }
-  if (e.kind == "corrupt_batch_dropped") {
-    return fmt(
-        "broker %d partition %d: %lld corrupt batch%s failed CRC, "
-        "dropped (log end now %lld)",
-        e.broker, e.partition, static_cast<long long>(e.a),
-        e.a == 1 ? "" : "es", static_cast<long long>(e.b));
-  }
-  if (e.kind == "group_member_joined") {
-    return fmt("group member %s joined (%lld member%s)", e.note.c_str(),
-               static_cast<long long>(e.a), e.a == 1 ? "" : "s");
-  }
-  if (e.kind == "group_member_left") {
-    return fmt("group member %s left (%lld remaining)", e.note.c_str(),
-               static_cast<long long>(e.a));
-  }
-  if (e.kind == "group_member_evicted") {
-    return fmt("group member %s EVICTED: session expired %.0fms ago",
-               e.note.c_str(), static_cast<double>(e.a) / 1000.0);
-  }
-  if (e.kind == "group_rebalance_begin") {
-    return fmt("group rebalance begins (generation %lld, %lld member%s)",
-               static_cast<long long>(e.a), static_cast<long long>(e.b),
-               e.b == 1 ? "" : "s");
-  }
-  if (e.kind == "group_partitions_revoked") {
-    return fmt("%lld partition%s revoked from %s (generation %lld)",
-               static_cast<long long>(e.a), e.a == 1 ? "" : "s",
-               e.note.c_str(), static_cast<long long>(e.b));
-  }
-  if (e.kind == "group_partitions_assigned") {
-    return fmt("%lld partition%s assigned to %s (generation %lld)",
-               static_cast<long long>(e.a), e.a == 1 ? "" : "s",
-               e.note.c_str(), static_cast<long long>(e.b));
-  }
-  if (e.kind == "group_generation_stable") {
-    return fmt("group stable at generation %lld with %lld member%s",
-               static_cast<long long>(e.a), static_cast<long long>(e.b),
-               e.b == 1 ? "" : "s");
-  }
-  if (e.kind == "group_zombie_fenced") {
-    return fmt(
-        "ZOMBIE FENCED: commit from %s under stale generation %lld "
-        "rejected (current %lld)",
-        e.note.c_str(), static_cast<long long>(e.a),
-        static_cast<long long>(e.b));
-  }
-  if (e.kind == "health_alert") {
-    std::string subject;
-    if (e.partition >= 0) subject = fmt(" on partition %d", e.partition);
-    if (e.broker >= 0) subject += fmt(" on broker %d", e.broker);
-    return fmt("HEALTH ALERT %s%s (detected after %lld windows)",
-               e.note.c_str(), subject.c_str(), static_cast<long long>(e.a));
-  }
-  if (e.kind == "health_resolve") {
-    std::string subject;
-    if (e.partition >= 0) subject = fmt(" on partition %d", e.partition);
-    if (e.broker >= 0) subject += fmt(" on broker %d", e.broker);
-    return fmt("health alert %s%s resolved (open %.0fms)", e.note.c_str(),
-               subject.c_str(), static_cast<double>(e.a) / 1000.0);
-  }
-  if (e.kind == "reconfigure") {
-    return fmt("%s: controller %s [%s] (predicted gamma %.4f)",
-               e.a != 0 ? "RECONFIGURE" : "reconfigure considered",
-               e.a != 0 ? "retuned the producer" : "held the configuration",
-               e.note.c_str(), static_cast<double>(e.b) / 1e6);
-  }
-  std::string out = e.kind;
-  if (!e.note.empty()) out += ": " + e.note;
-  return out;
+  return to_string(e.kind);
 }
 
 std::optional<std::uint64_t> pick_explain_key(const RunReport& report) {
@@ -207,7 +175,9 @@ std::optional<std::uint64_t> pick_explain_key(const RunReport& report) {
   if (!report.lost_keys.empty()) return report.lost_keys.front();
   if (!report.group_lost_keys.empty()) return report.group_lost_keys.front();
   for (const auto& e : report.trace) {
-    if (e.event == "failed" || e.event == "expired") return e.key;
+    if (e.event == TraceEvent::kFailed || e.event == TraceEvent::kExpired) {
+      return e.key;
+    }
   }
   if (!report.trace.empty()) return report.trace.front().key;
   return std::nullopt;
@@ -230,12 +200,12 @@ std::string explain_key(const RunReport& report, std::uint64_t key) {
   for (const auto& e : report.trace) {
     if (e.key != key) continue;
     first_t = std::min(first_t, e.t);
-    if (e.event == "acked") acked = true;
-    if (e.event == "appended") appended = true;
-    if (e.event == "delivered") delivered = true;
-    if (e.event == "dup_detected") ++duplicates;
-    if (e.event == "expired") expired = true;
-    if (e.event == "failed") failed = true;
+    if (e.event == TraceEvent::kAcked) acked = true;
+    if (e.event == TraceEvent::kAppended) appended = true;
+    if (e.event == TraceEvent::kDelivered) delivered = true;
+    if (e.event == TraceEvent::kDupDetected) ++duplicates;
+    if (e.event == TraceEvent::kExpired) expired = true;
+    if (e.event == TraceEvent::kFailed) failed = true;
     lines.push_back({e.t, describe_trace_entry(e)});
   }
 
@@ -243,9 +213,10 @@ std::string explain_key(const RunReport& report, std::uint64_t key) {
   for (const auto& s : report.spans) {
     if (s.key != key) continue;
     first_t = std::min(first_t, s.begin);
-    std::string text = fmt("span %s: %.3fms", s.kind.c_str(),
+    std::string text = fmt("span %s: %.3fms", to_string(s.kind),
                            to_millis(s.end - s.begin));
-    if (s.kind == "broker.append" || s.kind == "replica.append") {
+    if (s.kind == SpanKind::kBrokerAppend ||
+        s.kind == SpanKind::kReplicaAppend) {
       text += fmt(" (broker %d, base offset %lld)", s.track - 10,
                   static_cast<long long>(s.detail));
     } else if (s.detail != 0) {
@@ -283,8 +254,10 @@ std::string explain_key(const RunReport& report, std::uint64_t key) {
   bool power_loss_seen = false;
   bool unclean_seen = false;
   for (const auto& e : report.timeline) {
-    if (e.kind == "power_loss") power_loss_seen = true;
-    if (e.kind == "leader_elected" && e.b == 0) unclean_seen = true;
+    if (e.kind == ClusterEventKind::kPowerLoss) power_loss_seen = true;
+    if (e.kind == ClusterEventKind::kLeaderElected && e.b == 0) {
+      unclean_seen = true;
+    }
   }
 
   out += "verdict: ";
@@ -334,10 +307,10 @@ std::string explain_key(const RunReport& report, std::uint64_t key) {
   std::string open_text;
   std::size_t open_count = 0;
   for (const auto& a : report.health.alerts) {
-    if (a.resolved_us != -1) continue;
+    if (a.resolved != -1) continue;
     ++open_count;
     if (!open_text.empty()) open_text += ", ";
-    open_text += a.detector;
+    open_text += to_string(a.detector);
     if (a.partition >= 0) {
       open_text += fmt(" (partition %d)", a.partition);
     } else if (a.broker >= 0) {

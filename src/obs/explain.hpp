@@ -28,7 +28,7 @@ namespace ks::obs {
 std::optional<std::uint64_t> pick_explain_key(const RunReport& report);
 
 /// One human line for a control-plane event (shared by narratives).
-std::string describe_timeline_entry(const RunReport::TimelineEntry& e);
+std::string describe_timeline_entry(const ClusterEvent& e);
 
 /// The full narrative for `key`: chronological per-key lifecycle events,
 /// span durations, interleaved cluster events from the key's first

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "obs/report.hpp"
+
 namespace ks::obs {
 
 const char* to_string(LagVerdict v) noexcept {
@@ -46,7 +48,8 @@ TimeSeries& HealthMonitor::series_named(const std::string& name) {
 void HealthMonitor::observe_partition(std::int32_t partition,
                                       std::int64_t committed, std::int64_t hw,
                                       bool owned) {
-  auto& ps = partitions_[partition];
+  auto& ps = partitions_.try_emplace(partition, config_.lag_window)
+                 .first->second;
   ps.probed = true;
   ps.committed = committed;
   ps.hw = hw;
@@ -55,7 +58,7 @@ void HealthMonitor::observe_partition(std::int32_t partition,
 
 void HealthMonitor::observe_isr(std::int32_t partition, std::int64_t isr_size,
                                 std::int64_t replicas) {
-  auto& is = isr_[partition];
+  auto& is = isr_.try_emplace(partition, config_.flap_window).first->second;
   is.probed = true;
   is.isr = isr_size;
   is.replicas = replicas;
@@ -143,14 +146,7 @@ void HealthMonitor::evaluate_partition(TimePoint t, std::int32_t pid,
   ps.unowned_ticks = ps.owned ? 0 : ps.unowned_ticks + 1;
   if (!ps.ever_committed) ++ps.cold_ticks;
 
-  // Sliding lag window (ring, oldest overwritten).
-  if (ps.lag_window.size() < config_.lag_window) {
-    ps.lag_window.push_back(lag);
-  } else {
-    ps.lag_window[ps.lag_head] = lag;
-    ps.lag_head = (ps.lag_head + 1) % config_.lag_window;
-  }
-  ps.lag_count = std::min(ps.lag_count + 1, config_.lag_window);
+  ps.lag_window.push_back(lag);
 
   // Burrow-style verdict, most severe rule first.
   LagVerdict verdict = LagVerdict::kOk;
@@ -165,23 +161,13 @@ void HealthMonitor::evaluate_partition(TimePoint t, std::int32_t pid,
       // Commits never started long past the formation grace: treat like a
       // stall (the group is not making progress on this partition).
       verdict = LagVerdict::kStall;
-    } else if (ps.lag_count >= config_.lag_window) {
+    } else if (ps.lag_window.size() == ps.lag_window.capacity()) {
       // WARN: lag grew across the whole window without ever shrinking.
-      const std::size_t oldest =
-          ps.lag_window.size() < config_.lag_window ? 0 : ps.lag_head;
       bool grew = true;
-      std::int64_t prev = -1;
-      for (std::size_t i = 0; i < ps.lag_window.size(); ++i) {
-        const std::int64_t v =
-            ps.lag_window[(oldest + i) % ps.lag_window.size()];
-        if (prev >= 0 && v < prev) {
-          grew = false;
-          break;
-        }
-        prev = v;
+      for (std::size_t i = 1; i < ps.lag_window.size() && grew; ++i) {
+        grew = ps.lag_window[i] >= ps.lag_window[i - 1];
       }
-      const std::int64_t first = ps.lag_window[oldest];
-      if (grew && lag > first) verdict = LagVerdict::kWarn;
+      if (grew && lag > ps.lag_window[0]) verdict = LagVerdict::kWarn;
     }
   }
   ps.verdict = verdict;
@@ -215,20 +201,10 @@ void HealthMonitor::evaluate_isr(TimePoint t, std::int32_t pid, IsrState& is) {
   }
 
   // Flapping: ISR-size transitions within the sliding window.
-  if (is.sizes.size() < config_.flap_window) {
-    is.sizes.push_back(is.isr);
-  } else {
-    is.sizes[is.head] = is.isr;
-    is.head = (is.head + 1) % config_.flap_window;
-  }
-  is.count = std::min(is.count + 1, config_.flap_window);
+  is.sizes.push_back(is.isr);
   std::size_t transitions = 0;
-  const std::size_t oldest =
-      is.sizes.size() < config_.flap_window ? 0 : is.head;
   for (std::size_t i = 1; i < is.sizes.size(); ++i) {
-    const auto a = is.sizes[(oldest + i - 1) % is.sizes.size()];
-    const auto b = is.sizes[(oldest + i) % is.sizes.size()];
-    if (a != b) ++transitions;
+    if (is.sizes[i] != is.sizes[i - 1]) ++transitions;
   }
   if (transitions >= config_.flap_threshold) {
     open_alert(t, HealthDetector::kIsrFlapping, pid, -1, transitions);
@@ -276,13 +252,13 @@ LagVerdict HealthMonitor::verdict(std::int32_t partition) const noexcept {
   return it == partitions_.end() ? LagVerdict::kOk : it->second.verdict;
 }
 
-RunReport::Health HealthMonitor::export_health() const {
-  RunReport::Health h;
+HealthReport HealthMonitor::export_health() const {
+  HealthReport h;
   h.enabled = true;
   h.interval_us = static_cast<std::uint64_t>(config_.interval);
   h.ticks = ticks_;
   for (const auto& s : series_) {
-    RunReport::Health::Series entry;
+    HealthReport::Series entry;
     entry.name = s.name();
     entry.interval_us = static_cast<std::uint64_t>(s.interval());
     entry.dropped = s.dropped();
@@ -296,21 +272,16 @@ RunReport::Health HealthMonitor::export_health() const {
     h.series.push_back(std::move(entry));
   }
   if (sketch_.count() > 0) {
-    RunReport::Health::Sketch sk;
+    HealthReport::Sketch sk;
     sk.name = "e2e_ack_to_deliver_us";
     sk.count = sketch_.count();
     sk.buckets.assign(sketch_.buckets().begin(), sketch_.buckets().end());
     h.sketches.push_back(std::move(sk));
   }
-  for (const auto& a : alerts_) {
-    h.alerts.push_back(RunReport::Health::Alert{
-        to_string(a.detector), a.partition, a.broker,
-        static_cast<std::int64_t>(a.opened),
-        static_cast<std::int64_t>(a.resolved), a.windows_to_detect});
-  }
+  h.alerts = alerts_;
   for (const auto& [pid, ps] : partitions_) {
-    h.verdicts.push_back(RunReport::Health::Verdict{
-        pid, to_string(ps.verdict), to_string(ps.worst),
+    h.verdicts.push_back(HealthReport::Verdict{
+        pid, ps.verdict, ps.worst,
         std::max<std::int64_t>(0, ps.hw - ps.committed), ps.committed,
         ps.hw});
   }
@@ -320,7 +291,7 @@ RunReport::Health HealthMonitor::export_health() const {
 namespace {
 
 /// Pure-ASCII sparkline: one level glyph per window mean, min..max scaled.
-std::string sparkline(const RunReport::Health::Series& s) {
+std::string sparkline(const HealthReport::Series& s) {
   static const char kLevels[] = " .:-=+*#%@";
   constexpr std::size_t kMaxCols = 64;
   if (s.t.empty()) return "(no data)";
@@ -383,7 +354,7 @@ std::string render_health_text(const RunReport& report) {
       std::snprintf(line, sizeof(line),
                     "  partition %d: %-5s (worst %-5s)  committed=%lld "
                     "hw=%lld lag=%lld\n",
-                    v.partition, v.verdict.c_str(), v.worst.c_str(),
+                    v.partition, to_string(v.verdict), to_string(v.worst),
                     static_cast<long long>(v.committed),
                     static_cast<long long>(v.hw),
                     static_cast<long long>(v.lag));
@@ -405,28 +376,18 @@ std::string render_health_text(const RunReport& report) {
     std::snprintf(line, sizeof(line),
                   "  %-16s %-14s opened %s  resolved %s  (detected after "
                   "%llu windows)\n",
-                  a.detector.c_str(), subject.c_str(),
-                  us_to_text(a.opened_us).c_str(),
-                  us_to_text(a.resolved_us).c_str(),
-                  static_cast<unsigned long long>(a.windows));
+                  to_string(a.detector), subject.c_str(),
+                  us_to_text(a.opened).c_str(), us_to_text(a.resolved).c_str(),
+                  static_cast<unsigned long long>(a.windows_to_detect));
     out += line;
   }
 
   if (!h.sketches.empty()) {
     out += "\nend-to-end acked->delivered latency:\n";
     for (const auto& sk : h.sketches) {
-      // Re-derive quantile upper bounds from the serialized buckets.
-      LatencySketch sketch;
-      for (std::size_t b = 0;
-           b < sk.buckets.size() && b < kLatencySketchBuckets; ++b) {
-        for (std::uint64_t n = 0; n < sk.buckets[b]; ++n) {
-          sketch.observe(b < kLatencySketchBoundsUs.size()
-                             ? kLatencySketchBoundsUs[b]
-                             : kLatencySketchBoundsUs.back() + 1);
-        }
-      }
       const auto quantile_text = [&](double q) -> std::string {
-        const auto bound = sketch.quantile_upper_bound(q);
+        const auto bound =
+            sketch_quantile_upper_bound(sk.buckets, sk.count, q);
         if (bound == kLatencySketchOverflowUs) {
           return "> " + std::to_string(kLatencySketchBoundsUs.back()) +
                  " us (overflow)";

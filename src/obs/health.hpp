@@ -28,11 +28,13 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "obs/report.hpp"
+#include "obs/ring.hpp"
 #include "obs/timeline.hpp"
 #include "obs/timeseries.hpp"
 
 namespace ks::obs {
+
+struct RunReport;
 
 /// Per-partition consumer-lag verdict, evaluated once per tick.
 enum class LagVerdict : std::uint8_t { kOk = 0, kWarn, kStall, kStop };
@@ -91,6 +93,52 @@ struct HealthAlert {
   std::uint64_t windows_to_detect = 0;
 };
 
+/// The health section of a RunReport. Everything here is sim-time-driven,
+/// so unlike perf the whole section lives inside canonical_json() — replay
+/// byte-identity includes the detector's verdicts and alert ledger.
+struct HealthReport {
+  bool enabled = false;
+  std::uint64_t interval_us = 0;  ///< Probe/evaluation tick.
+  std::uint64_t ticks = 0;        ///< Evaluation ticks run.
+
+  /// One probe series: fixed-interval windows, parallel arrays of equal
+  /// length. Window start times are t; gaps mean no probe landed there.
+  struct Series {
+    std::string name;
+    std::uint64_t interval_us = 0;
+    std::uint64_t dropped = 0;
+    std::vector<std::int64_t> t;
+    std::vector<std::uint64_t> count;
+    std::vector<double> min;
+    std::vector<double> max;
+    std::vector<double> sum;
+  };
+  std::vector<Series> series;
+
+  /// Fixed-bucket latency sketch: kLatencySketchBuckets counts (bounds in
+  /// obs/timeseries.hpp) that sum to `count`.
+  struct Sketch {
+    std::string name;
+    std::uint64_t count = 0;
+    std::vector<std::uint64_t> buckets;
+  };
+  std::vector<Sketch> sketches;
+
+  /// Alert ledger, open order.
+  std::vector<HealthAlert> alerts;
+
+  /// Final per-partition lag verdicts (grouped runs only).
+  struct Verdict {
+    std::int32_t partition = -1;
+    LagVerdict verdict = LagVerdict::kOk;  ///< Verdict at run end.
+    LagVerdict worst = LagVerdict::kOk;    ///< Worst seen during the run.
+    std::int64_t lag = 0;
+    std::int64_t committed = 0;
+    std::int64_t hw = 0;
+  };
+  std::vector<Verdict> verdicts;
+};
+
 class HealthMonitor {
  public:
   explicit HealthMonitor(HealthConfig config, ClusterTimeline* timeline);
@@ -137,15 +185,15 @@ class HealthMonitor {
     return alerts_.size() - resolved_count_;
   }
   LagVerdict verdict(std::int32_t partition) const noexcept;
-  const LatencySketch& latency_sketch() const noexcept { return sketch_; }
   /// All series in creation order (probe wiring order: deterministic).
   const std::vector<TimeSeries>& series() const noexcept { return series_; }
 
   /// Snapshot everything into a report's health section.
-  RunReport::Health export_health() const;
+  HealthReport export_health() const;
 
  private:
   struct PartitionState {
+    explicit PartitionState(std::size_t window) : lag_window(window) {}
     // This tick's probe (valid when probed_this_tick).
     bool probed = false;
     std::int64_t committed = 0;
@@ -157,20 +205,17 @@ class HealthMonitor {
     std::uint64_t frozen_ticks = 0;
     std::uint64_t unowned_ticks = 0;
     std::uint64_t cold_ticks = 0;
-    std::vector<std::int64_t> lag_window;  ///< Ring of recent lags.
-    std::size_t lag_head = 0;
-    std::size_t lag_count = 0;
+    Ring<std::int64_t> lag_window;  ///< Recent lags, oldest first.
     LagVerdict verdict = LagVerdict::kOk;
     LagVerdict worst = LagVerdict::kOk;
   };
   struct IsrState {
+    explicit IsrState(std::size_t window) : sizes(window) {}
     bool probed = false;
     std::int64_t isr = 0;
     std::int64_t replicas = 0;
     std::uint64_t under_ticks = 0;
-    std::vector<std::int64_t> sizes;  ///< Ring of recent ISR sizes.
-    std::size_t head = 0;
-    std::size_t count = 0;
+    Ring<std::int64_t> sizes;  ///< Recent ISR sizes, oldest first.
   };
   struct BrokerState {
     bool probed = false;

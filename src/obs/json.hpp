@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ks::obs {
@@ -48,11 +49,11 @@ class JsonWriter {
     pending_value_ = true;
   }
 
-  void value(const std::string& v) {
+  void value(std::string_view v) {
     comma();
     append_string(v);
   }
-  void value(const char* v) { value(std::string(v)); }
+  void value(const char* v) { value(std::string_view(v)); }
   void value(double v) {
     comma();
     if (std::isfinite(v)) {
@@ -103,7 +104,7 @@ class JsonWriter {
     if (!stack_.empty()) stack_.back() = true;
     pending_value_ = false;
   }
-  void append_string(const std::string& s) {
+  void append_string(std::string_view s) {
     out_ += '"';
     for (const char c : s) {
       switch (c) {

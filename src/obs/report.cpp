@@ -25,15 +25,18 @@ double RunReport::metric(const std::string& name) const {
   return sum;
 }
 
-std::string RunReport::to_json() const { return json_impl(true); }
+namespace {
 
-std::string RunReport::json_impl(bool include_perf) const {
+/// Serializer behind to_json() and canonical_json(). The canonical form
+/// skips wall-clock metrics and series and the whole perf section (key and
+/// all). Enum fields are written by name here, and only here.
+std::string report_json(const RunReport& r, bool canonical) {
   JsonWriter w;
   w.begin_object();
 
   w.key("summary");
   w.begin_object();
-  for (const auto& [k, v] : summary) {
+  for (const auto& [k, v] : r.summary) {
     w.key(k);
     w.value(v);
   }
@@ -41,7 +44,8 @@ std::string RunReport::json_impl(bool include_perf) const {
 
   w.key("metrics");
   w.begin_array();
-  for (const auto& m : metrics) {
+  for (const auto& m : r.metrics) {
+    if (canonical && is_wall_clock_metric(m.name)) continue;
     w.begin_object();
     w.key("name");
     w.value(m.name);
@@ -59,7 +63,7 @@ std::string RunReport::json_impl(bool include_perf) const {
 
   w.key("histograms");
   w.begin_array();
-  for (const auto& h : histograms) {
+  for (const auto& h : r.histograms) {
     w.begin_object();
     w.key("name");
     w.value(h.name);
@@ -83,7 +87,8 @@ std::string RunReport::json_impl(bool include_perf) const {
 
   w.key("series");
   w.begin_array();
-  for (const auto& s : series) {
+  for (const auto& s : r.series) {
+    if (canonical && is_wall_clock_metric(s.name)) continue;
     w.begin_object();
     w.key("name");
     w.value(s.name);
@@ -104,19 +109,19 @@ std::string RunReport::json_impl(bool include_perf) const {
   w.key("trace");
   w.begin_object();
   w.key("sample_every");
-  w.value(trace_sample_every);
+  w.value(r.trace_sample_every);
   w.key("dropped");
-  w.value(trace_dropped);
+  w.value(r.trace_dropped);
   w.key("events");
   w.begin_array();
-  for (const auto& e : trace) {
+  for (const auto& e : r.trace) {
     w.begin_object();
     w.key("t_us");
     w.value(static_cast<std::int64_t>(e.t));
     w.key("key");
     w.value(e.key);
     w.key("event");
-    w.value(e.event);
+    w.value(to_string(e.event));
     w.key("detail");
     w.value(e.detail);
     w.end_object();
@@ -127,12 +132,12 @@ std::string RunReport::json_impl(bool include_perf) const {
   w.key("spans");
   w.begin_object();
   w.key("sample_every");
-  w.value(span_sample_every);
+  w.value(r.span_sample_every);
   w.key("dropped");
-  w.value(spans_dropped);
+  w.value(r.spans_dropped);
   w.key("events");
   w.begin_array();
-  for (const auto& s : spans) {
+  for (const auto& s : r.spans) {
     w.begin_object();
     w.key("id");
     w.value(s.id);
@@ -141,7 +146,7 @@ std::string RunReport::json_impl(bool include_perf) const {
     w.key("key");
     w.value(s.key);
     w.key("kind");
-    w.value(s.kind);
+    w.value(to_string(s.kind));
     w.key("track");
     w.value(s.track);
     w.key("detail");
@@ -158,15 +163,15 @@ std::string RunReport::json_impl(bool include_perf) const {
   w.key("timeline");
   w.begin_object();
   w.key("dropped");
-  w.value(timeline_dropped);
+  w.value(r.timeline_dropped);
   w.key("events");
   w.begin_array();
-  for (const auto& e : timeline) {
+  for (const auto& e : r.timeline) {
     w.begin_object();
     w.key("t_us");
     w.value(static_cast<std::int64_t>(e.t));
     w.key("kind");
-    w.value(e.kind);
+    w.value(to_string(e.kind));
     w.key("broker");
     w.value(e.broker);
     w.key("partition");
@@ -188,29 +193,29 @@ std::string RunReport::json_impl(bool include_perf) const {
   w.begin_object();
   w.key("acked_lost_keys");
   w.begin_array();
-  for (const auto k : acked_lost_keys) w.value(k);
+  for (const auto k : r.acked_lost_keys) w.value(k);
   w.end_array();
   w.key("lost_keys");
   w.begin_array();
-  for (const auto k : lost_keys) w.value(k);
+  for (const auto k : r.lost_keys) w.value(k);
   w.end_array();
   w.key("group_lost_keys");
   w.begin_array();
-  for (const auto k : group_lost_keys) w.value(k);
+  for (const auto k : r.group_lost_keys) w.value(k);
   w.end_array();
   w.end_object();
 
   w.key("health");
   w.begin_object();
   w.key("enabled");
-  w.value(health.enabled);
+  w.value(r.health.enabled);
   w.key("interval_us");
-  w.value(health.interval_us);
+  w.value(r.health.interval_us);
   w.key("ticks");
-  w.value(health.ticks);
+  w.value(r.health.ticks);
   w.key("series");
   w.begin_array();
-  for (const auto& s : health.series) {
+  for (const auto& s : r.health.series) {
     w.begin_object();
     w.key("name");
     w.value(s.name);
@@ -243,7 +248,7 @@ std::string RunReport::json_impl(bool include_perf) const {
   w.end_array();
   w.key("sketches");
   w.begin_array();
-  for (const auto& s : health.sketches) {
+  for (const auto& s : r.health.sketches) {
     w.begin_object();
     w.key("name");
     w.value(s.name);
@@ -258,33 +263,33 @@ std::string RunReport::json_impl(bool include_perf) const {
   w.end_array();
   w.key("alerts");
   w.begin_array();
-  for (const auto& a : health.alerts) {
+  for (const auto& a : r.health.alerts) {
     w.begin_object();
     w.key("detector");
-    w.value(a.detector);
+    w.value(to_string(a.detector));
     w.key("partition");
     w.value(a.partition);
     w.key("broker");
     w.value(a.broker);
     w.key("opened_us");
-    w.value(a.opened_us);
+    w.value(static_cast<std::int64_t>(a.opened));
     w.key("resolved_us");
-    w.value(a.resolved_us);
+    w.value(static_cast<std::int64_t>(a.resolved));
     w.key("windows");
-    w.value(a.windows);
+    w.value(a.windows_to_detect);
     w.end_object();
   }
   w.end_array();
   w.key("verdicts");
   w.begin_array();
-  for (const auto& v : health.verdicts) {
+  for (const auto& v : r.health.verdicts) {
     w.begin_object();
     w.key("partition");
     w.value(v.partition);
     w.key("verdict");
-    w.value(v.verdict);
+    w.value(to_string(v.verdict));
     w.key("worst");
-    w.value(v.worst);
+    w.value(to_string(v.worst));
     w.key("lag");
     w.value(v.lag);
     w.key("committed");
@@ -296,22 +301,22 @@ std::string RunReport::json_impl(bool include_perf) const {
   w.end_array();
   w.end_object();
 
-  if (include_perf) {
+  if (!canonical) {
     w.key("perf");
     w.begin_object();
     w.key("wall_us");
-    w.value(perf.wall_us);
+    w.value(r.perf.wall_us);
     w.key("peak_rss_kb");
-    w.value(perf.peak_rss_kb);
+    w.value(r.perf.peak_rss_kb);
     w.key("profiled");
-    w.value(perf.profiled);
+    w.value(r.perf.profiled);
     w.key("alloc_count");
-    w.value(perf.alloc_count);
+    w.value(r.perf.alloc_count);
     w.key("alloc_bytes");
-    w.value(perf.alloc_bytes);
+    w.value(r.perf.alloc_bytes);
     w.key("sections");
     w.begin_array();
-    for (const auto& s : perf.sections) {
+    for (const auto& s : r.perf.sections) {
       w.begin_object();
       w.key("name");
       w.value(s.name);
@@ -329,19 +334,16 @@ std::string RunReport::json_impl(bool include_perf) const {
   return w.str();
 }
 
+}  // namespace
+
 bool is_wall_clock_metric(const std::string& name) noexcept {
   return name.rfind("sim_wall", 0) == 0;
 }
 
+std::string RunReport::to_json() const { return report_json(*this, false); }
+
 std::string RunReport::canonical_json() const {
-  RunReport canon = *this;
-  std::erase_if(canon.metrics, [](const Metric& m) {
-    return is_wall_clock_metric(m.name);
-  });
-  std::erase_if(canon.series, [](const Sampler::Series& s) {
-    return is_wall_clock_metric(s.name);
-  });
-  return canon.json_impl(false);
+  return report_json(*this, true);
 }
 
 bool RunReport::write_json(const std::string& path) const {
@@ -405,7 +407,7 @@ std::string RunReport::perfetto_json() const {
   for (const auto& s : spans) {
     w.begin_object();
     w.key("name");
-    w.value(s.kind);
+    w.value(to_string(s.kind));
     w.key("cat");
     w.value("span");
     w.key("ph");
@@ -437,7 +439,7 @@ std::string RunReport::perfetto_json() const {
   for (const auto& e : timeline) {
     w.begin_object();
     w.key("name");
-    w.value(e.kind);
+    w.value(to_string(e.kind));
     w.key("cat");
     w.value("cluster");
     w.key("ph");
@@ -504,26 +506,16 @@ RunReport build_run_report(const MetricsRegistry& registry,
   if (trace != nullptr) {
     report.trace_sample_every = trace->sample_every();
     report.trace_dropped = trace->dropped();
-    for (const auto& e : trace->entries()) {
-      report.trace.push_back(
-          RunReport::TraceEntry{e.t, e.key, to_string(e.event), e.detail});
-    }
+    report.trace = trace->entries();
   }
   if (tracer != nullptr) {
     report.span_sample_every = tracer->sample_every();
     report.spans_dropped = tracer->dropped();
-    for (const auto& s : tracer->spans()) {
-      report.spans.push_back(RunReport::SpanEntry{
-          s.id, s.parent, s.key, to_string(s.kind), s.track, s.detail,
-          s.begin, s.end});
-    }
+    report.spans = tracer->spans();
   }
   if (timeline != nullptr) {
     report.timeline_dropped = timeline->dropped();
-    for (const auto& e : timeline->events()) {
-      report.timeline.push_back(RunReport::TimelineEntry{
-          e.t, to_string(e.kind), e.broker, e.partition, e.a, e.b, e.note});
-    }
+    report.timeline = timeline->events();
   }
   return report;
 }

@@ -10,19 +10,24 @@ namespace ks::obs {
 
 namespace {
 
+/// The enum value named by `obj[key]`; nullopt for an unknown name.
+template <typename E>
+std::optional<E> enum_at(const JsonValue& obj, std::string_view key) {
+  return enum_from_string<E>(obj.str_or(key));
+}
+
 /// The serializer omits empty `labels`/`note` keys, so every string read
 /// here defaults to "" — absence and emptiness round-trip to the same
-/// report, which re-serializes identically.
-void parse_metrics(const JsonValue& arr, RunReport& report, bool& ok) {
+/// report, which re-serializes identically. Each parse_* returns false on
+/// input report_from_json() rejects.
+bool parse_metrics(const JsonValue& arr, RunReport& report) {
   for (const auto& m : arr.array) {
-    const auto kind = metric_kind_from_string(m.str_or("kind"));
-    if (!kind) {
-      ok = false;
-      return;
-    }
+    const auto kind = enum_at<MetricKind>(m, "kind");
+    if (!kind) return false;
     report.metrics.push_back(RunReport::Metric{
         m.str_or("name"), m.str_or("labels"), *kind, m.num_or("value")});
   }
+  return true;
 }
 
 void parse_histograms(const JsonValue& arr, RunReport& report) {
@@ -34,13 +39,10 @@ void parse_histograms(const JsonValue& arr, RunReport& report) {
   }
 }
 
-void parse_series(const JsonValue& arr, RunReport& report, bool& ok) {
+bool parse_series(const JsonValue& arr, RunReport& report) {
   for (const auto& s : arr.array) {
-    const auto kind = metric_kind_from_string(s.str_or("kind"));
-    if (!kind) {
-      ok = false;
-      return;
-    }
+    const auto kind = enum_at<MetricKind>(s, "kind");
+    if (!kind) return false;
     Sampler::Series series;
     series.name = s.str_or("name");
     series.kind = *kind;
@@ -55,48 +57,58 @@ void parse_series(const JsonValue& arr, RunReport& report, bool& ok) {
     }
     report.series.push_back(std::move(series));
   }
+  return true;
 }
 
-void parse_trace(const JsonValue& obj, RunReport& report) {
+bool parse_trace(const JsonValue& obj, RunReport& report) {
   report.trace_sample_every = obj.uint_or("sample_every");
   report.trace_dropped = obj.uint_or("dropped");
   if (const auto* events = obj.find("events");
       events != nullptr && events->is_array()) {
     for (const auto& e : events->array) {
-      report.trace.push_back(RunReport::TraceEntry{
-          static_cast<TimePoint>(e.int_or("t_us")), e.uint_or("key"),
-          e.str_or("event"), static_cast<std::int32_t>(e.int_or("detail"))});
+      const auto event = enum_at<TraceEvent>(e, "event");
+      if (!event) return false;
+      report.trace.push_back(MessageTrace::Entry{
+          static_cast<TimePoint>(e.int_or("t_us")), e.uint_or("key"), *event,
+          static_cast<std::int32_t>(e.int_or("detail"))});
     }
   }
+  return true;
 }
 
-void parse_spans(const JsonValue& obj, RunReport& report) {
+bool parse_spans(const JsonValue& obj, RunReport& report) {
   report.span_sample_every = obj.uint_or("sample_every");
   report.spans_dropped = obj.uint_or("dropped");
   if (const auto* events = obj.find("events");
       events != nullptr && events->is_array()) {
     for (const auto& s : events->array) {
-      report.spans.push_back(RunReport::SpanEntry{
-          s.uint_or("id"), s.uint_or("parent"), s.uint_or("key"),
-          s.str_or("kind"), static_cast<std::int32_t>(s.int_or("track")),
-          s.int_or("detail"), static_cast<TimePoint>(s.int_or("begin_us")),
+      const auto kind = enum_at<SpanKind>(s, "kind");
+      if (!kind) return false;
+      report.spans.push_back(Span{
+          s.uint_or("id"), s.uint_or("parent"), s.uint_or("key"), *kind,
+          static_cast<std::int32_t>(s.int_or("track")), s.int_or("detail"),
+          static_cast<TimePoint>(s.int_or("begin_us")),
           static_cast<TimePoint>(s.int_or("end_us"))});
     }
   }
+  return true;
 }
 
-void parse_timeline(const JsonValue& obj, RunReport& report) {
+bool parse_timeline(const JsonValue& obj, RunReport& report) {
   report.timeline_dropped = obj.uint_or("dropped");
   if (const auto* events = obj.find("events");
       events != nullptr && events->is_array()) {
     for (const auto& e : events->array) {
-      report.timeline.push_back(RunReport::TimelineEntry{
-          static_cast<TimePoint>(e.int_or("t_us")), e.str_or("kind"),
+      const auto kind = enum_at<ClusterEventKind>(e, "kind");
+      if (!kind) return false;
+      report.timeline.push_back(ClusterEvent{
+          static_cast<TimePoint>(e.int_or("t_us")), *kind,
           static_cast<std::int32_t>(e.int_or("broker")),
           static_cast<std::int32_t>(e.int_or("partition")), e.int_or("a"),
           e.int_or("b"), e.str_or("note")});
     }
   }
+  return true;
 }
 
 void parse_key_list(const JsonValue& obj, const char* name,
@@ -110,7 +122,20 @@ void parse_key_list(const JsonValue& obj, const char* name,
   }
 }
 
-void parse_health(const JsonValue& obj, RunReport& report) {
+/// True when `buckets` has one count per sketch bucket and they sum to
+/// `count` (checked without overflow).
+bool sketch_consistent(const std::vector<std::uint64_t>& buckets,
+                       std::uint64_t count) {
+  if (buckets.size() != kLatencySketchBuckets) return false;
+  std::uint64_t sum = 0;
+  for (const auto b : buckets) {
+    if (b > count - sum) return false;
+    sum += b;
+  }
+  return sum == count;
+}
+
+bool parse_health(const JsonValue& obj, RunReport& report) {
   auto& h = report.health;
   h.enabled = obj.bool_or("enabled");
   h.interval_us = obj.uint_or("interval_us");
@@ -137,7 +162,7 @@ void parse_health(const JsonValue& obj, RunReport& report) {
   if (const auto* series = obj.find("series");
       series != nullptr && series->is_array()) {
     for (const auto& s : series->array) {
-      RunReport::Health::Series entry;
+      HealthReport::Series entry;
       entry.name = s.str_or("name");
       entry.interval_us = s.uint_or("interval_us");
       entry.dropped = s.uint_or("dropped");
@@ -146,38 +171,50 @@ void parse_health(const JsonValue& obj, RunReport& report) {
       nums(s.find("min"), entry.min);
       nums(s.find("max"), entry.max);
       nums(s.find("sum"), entry.sum);
+      const std::size_t n = entry.t.size();
+      if (entry.count.size() != n || entry.min.size() != n ||
+          entry.max.size() != n || entry.sum.size() != n) {
+        return false;
+      }
       h.series.push_back(std::move(entry));
     }
   }
   if (const auto* sketches = obj.find("sketches");
       sketches != nullptr && sketches->is_array()) {
     for (const auto& s : sketches->array) {
-      RunReport::Health::Sketch entry;
+      HealthReport::Sketch entry;
       entry.name = s.str_or("name");
       entry.count = s.uint_or("count");
       uints(s.find("buckets"), entry.buckets);
+      if (!sketch_consistent(entry.buckets, entry.count)) return false;
       h.sketches.push_back(std::move(entry));
     }
   }
   if (const auto* alerts = obj.find("alerts");
       alerts != nullptr && alerts->is_array()) {
     for (const auto& a : alerts->array) {
-      h.alerts.push_back(RunReport::Health::Alert{
-          a.str_or("detector"),
-          static_cast<std::int32_t>(a.int_or("partition")),
-          static_cast<std::int32_t>(a.int_or("broker")), a.int_or("opened_us"),
-          a.int_or("resolved_us"), a.uint_or("windows")});
+      const auto detector = enum_at<HealthDetector>(a, "detector");
+      if (!detector) return false;
+      h.alerts.push_back(HealthAlert{
+          *detector, static_cast<std::int32_t>(a.int_or("partition")),
+          static_cast<std::int32_t>(a.int_or("broker")),
+          static_cast<TimePoint>(a.int_or("opened_us")),
+          static_cast<TimePoint>(a.int_or("resolved_us")),
+          a.uint_or("windows")});
     }
   }
   if (const auto* verdicts = obj.find("verdicts");
       verdicts != nullptr && verdicts->is_array()) {
     for (const auto& v : verdicts->array) {
-      h.verdicts.push_back(RunReport::Health::Verdict{
-          static_cast<std::int32_t>(v.int_or("partition")),
-          v.str_or("verdict"), v.str_or("worst"), v.int_or("lag"),
-          v.int_or("committed"), v.int_or("hw")});
+      const auto verdict = enum_at<LagVerdict>(v, "verdict");
+      const auto worst = enum_at<LagVerdict>(v, "worst");
+      if (!verdict || !worst) return false;
+      h.verdicts.push_back(HealthReport::Verdict{
+          static_cast<std::int32_t>(v.int_or("partition")), *verdict, *worst,
+          v.int_or("lag"), v.int_or("committed"), v.int_or("hw")});
     }
   }
+  return true;
 }
 
 void parse_perf(const JsonValue& obj, RunReport& report) {
@@ -197,20 +234,11 @@ void parse_perf(const JsonValue& obj, RunReport& report) {
 
 }  // namespace
 
-std::optional<MetricKind> metric_kind_from_string(
-    std::string_view s) noexcept {
-  if (s == "counter") return MetricKind::kCounter;
-  if (s == "gauge") return MetricKind::kGauge;
-  if (s == "histogram") return MetricKind::kHistogram;
-  return std::nullopt;
-}
-
 std::optional<RunReport> report_from_json(std::string_view text) {
   const auto doc = parse_json(text);
   if (!doc || !doc->is_object()) return std::nullopt;
 
   RunReport report;
-  bool ok = true;
   if (const auto* summary = doc->find("summary");
       summary != nullptr && summary->is_object()) {
     for (const auto& [k, v] : summary->object) {
@@ -218,28 +246,31 @@ std::optional<RunReport> report_from_json(std::string_view text) {
     }
   }
   if (const auto* metrics = doc->find("metrics");
-      metrics != nullptr && metrics->is_array()) {
-    parse_metrics(*metrics, report, ok);
+      metrics != nullptr && metrics->is_array() &&
+      !parse_metrics(*metrics, report)) {
+    return std::nullopt;
   }
   if (const auto* histograms = doc->find("histograms");
       histograms != nullptr && histograms->is_array()) {
     parse_histograms(*histograms, report);
   }
   if (const auto* series = doc->find("series");
-      series != nullptr && series->is_array()) {
-    parse_series(*series, report, ok);
+      series != nullptr && series->is_array() &&
+      !parse_series(*series, report)) {
+    return std::nullopt;
   }
   if (const auto* trace = doc->find("trace");
-      trace != nullptr && trace->is_object()) {
-    parse_trace(*trace, report);
+      trace != nullptr && trace->is_object() && !parse_trace(*trace, report)) {
+    return std::nullopt;
   }
   if (const auto* spans = doc->find("spans");
-      spans != nullptr && spans->is_object()) {
-    parse_spans(*spans, report);
+      spans != nullptr && spans->is_object() && !parse_spans(*spans, report)) {
+    return std::nullopt;
   }
   if (const auto* timeline = doc->find("timeline");
-      timeline != nullptr && timeline->is_object()) {
-    parse_timeline(*timeline, report);
+      timeline != nullptr && timeline->is_object() &&
+      !parse_timeline(*timeline, report)) {
+    return std::nullopt;
   }
   if (const auto* anomalies = doc->find("anomalies");
       anomalies != nullptr && anomalies->is_object()) {
@@ -248,14 +279,14 @@ std::optional<RunReport> report_from_json(std::string_view text) {
     parse_key_list(*anomalies, "group_lost_keys", report.group_lost_keys);
   }
   if (const auto* health = doc->find("health");
-      health != nullptr && health->is_object()) {
-    parse_health(*health, report);
+      health != nullptr && health->is_object() &&
+      !parse_health(*health, report)) {
+    return std::nullopt;
   }
   if (const auto* perf = doc->find("perf");
       perf != nullptr && perf->is_object()) {
     parse_perf(*perf, report);
   }
-  if (!ok) return std::nullopt;
   return report;
 }
 

@@ -26,15 +26,11 @@ SpanTracer::SpanTracer(std::size_t capacity, std::uint64_t sample_every) {
 
 void SpanTracer::configure(std::size_t capacity, std::uint64_t sample_every) {
   open_.clear();
-  ring_.clear();
-  capacity_ = std::max<std::size_t>(capacity, 1);
+  ring_ = Ring<Span>(capacity);
   sample_every_ = sample_every;
-  head_ = 0;
-  wrapped_ = false;
   next_id_ = 1;
   started_ = 0;
-  dropped_ = 0;
-  if (enabled()) ring_.reserve(std::min<std::size_t>(capacity_, 1024));
+  if (enabled()) ring_.reserve(1024);
 }
 
 SpanId SpanTracer::record(TimePoint t, SpanKind kind, std::int32_t track,
@@ -68,7 +64,7 @@ void SpanTracer::close(TimePoint t, SpanId id) {
   Span span = it->second;
   open_.erase(it);
   span.end = std::max(t, span.begin);
-  complete(std::move(span));
+  ring_.push_back(span);
 }
 
 void SpanTracer::end(TimePoint t, SpanId id, std::int64_t detail) {
@@ -89,32 +85,13 @@ void SpanTracer::close_open(TimePoint t) {
   // begin order — deterministic across replays.
   for (auto& [id, span] : open_) {
     span.end = std::max(t, span.begin);
-    complete(span);
+    ring_.push_back(span);
   }
   open_.clear();
 }
 
-void SpanTracer::complete(Span span) {
-  if (ring_.size() < capacity_) {
-    ring_.push_back(std::move(span));
-    return;
-  }
-  ring_[head_] = std::move(span);
-  head_ = (head_ + 1) % capacity_;
-  wrapped_ = true;
-  ++dropped_;
-}
-
 std::vector<Span> SpanTracer::spans() const {
-  std::vector<Span> out;
-  out.reserve(ring_.size());
-  if (!wrapped_) {
-    out = ring_;
-  } else {
-    for (std::size_t i = 0; i < ring_.size(); ++i) {
-      out.push_back(ring_[(head_ + i) % ring_.size()]);
-    }
-  }
+  std::vector<Span> out = ring_.to_vector();
   // Ring eviction (or a parent that never closed before its child) can
   // leave dangling parent links; promote those spans to roots so the
   // exported forest is always well-formed.

@@ -9,8 +9,8 @@
 // trace-event timeline.
 //
 // Discipline mirrors MessageTrace: root spans are sampled by key
-// (key % sample_every == 0), completed spans live in a fixed-capacity
-// ring that overwrites oldest-first, and a disabled tracer costs one
+// (key % sample_every == 0), completed spans live in an obs::Ring that
+// overwrites oldest-first, and a disabled tracer costs one
 // branch per call site. A child span is recorded iff its parent was
 // (SpanId 0 = "not recorded" propagates down the chain for free), so
 // unsampled keys never allocate anywhere below the root either.
@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "obs/ring.hpp"
 
 namespace ks::obs {
 
@@ -113,7 +114,7 @@ class SpanTracer {
 
   std::size_t open_count() const noexcept { return open_.size(); }
   std::uint64_t started() const noexcept { return started_; }
-  std::uint64_t dropped() const noexcept { return dropped_; }
+  std::uint64_t dropped() const noexcept { return ring_.evicted(); }
   std::uint64_t sample_every() const noexcept { return sample_every_; }
 
   /// Completed spans, oldest first. Spans whose parent was evicted from
@@ -125,17 +126,12 @@ class SpanTracer {
   SpanId record(TimePoint t, SpanKind kind, std::int32_t track,
                 SpanId parent, std::uint64_t key, std::int64_t detail);
   void close(TimePoint t, SpanId id);
-  void complete(Span span);
 
   std::map<SpanId, Span> open_;  ///< Keyed by id; ids are monotonic.
-  std::vector<Span> ring_;
-  std::size_t capacity_ = 0;
+  Ring<Span> ring_;
   std::uint64_t sample_every_ = 0;
-  std::size_t head_ = 0;  ///< Next overwrite slot once the ring wrapped.
-  bool wrapped_ = false;
   SpanId next_id_ = 1;
   std::uint64_t started_ = 0;
-  std::uint64_t dropped_ = 0;
 };
 
 }  // namespace ks::obs

@@ -1,6 +1,5 @@
 #include "obs/timeline.hpp"
 
-#include <algorithm>
 #include <utility>
 
 namespace ks::obs {
@@ -47,41 +46,13 @@ const char* to_string(ClusterEventKind k) noexcept {
   return "?";
 }
 
-ClusterTimeline::ClusterTimeline(std::size_t capacity)
-    : capacity_(std::max<std::size_t>(capacity, 1)) {}
-
 void ClusterTimeline::record(TimePoint t, ClusterEventKind kind,
                              std::int32_t broker, std::int32_t partition,
                              std::int64_t a, std::int64_t b,
                              std::string note) {
   ++recorded_;
-  ClusterEvent e{t, kind, broker, partition, a, b, std::move(note)};
-  if (ring_.size() < capacity_) {
-    ring_.push_back(std::move(e));
-    return;
-  }
-  ring_[head_] = std::move(e);
-  head_ = (head_ + 1) % capacity_;
-  wrapped_ = true;
-  ++dropped_;
-}
-
-std::vector<ClusterEvent> ClusterTimeline::events() const {
-  if (!wrapped_) return ring_;
-  std::vector<ClusterEvent> out;
-  out.reserve(ring_.size());
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(ring_[(head_ + i) % ring_.size()]);
-  }
-  return out;
-}
-
-void ClusterTimeline::clear() {
-  ring_.clear();
-  head_ = 0;
-  wrapped_ = false;
-  recorded_ = 0;
-  dropped_ = 0;
+  ring_.push_back(ClusterEvent{t, kind, broker, partition, a, b,
+                               std::move(note)});
 }
 
 }  // namespace ks::obs

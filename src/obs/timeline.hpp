@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "obs/ring.hpp"
 
 namespace ks::obs {
 
@@ -71,7 +72,7 @@ struct ClusterEvent {
 
 class ClusterTimeline {
  public:
-  explicit ClusterTimeline(std::size_t capacity = 4096);
+  explicit ClusterTimeline(std::size_t capacity = 4096) : ring_(capacity) {}
 
   void record(TimePoint t, ClusterEventKind kind, std::int32_t broker = -1,
               std::int32_t partition = -1, std::int64_t a = 0,
@@ -79,21 +80,20 @@ class ClusterTimeline {
 
   std::size_t size() const noexcept { return ring_.size(); }
   std::uint64_t recorded() const noexcept { return recorded_; }
-  std::uint64_t dropped() const noexcept { return dropped_; }
+  std::uint64_t dropped() const noexcept { return ring_.evicted(); }
 
   /// Retained events, oldest first.
-  std::vector<ClusterEvent> events() const;
+  std::vector<ClusterEvent> events() const { return ring_.to_vector(); }
 
   /// Drop all recorded events (fresh run on a reused simulation).
-  void clear();
+  void clear() noexcept {
+    ring_.clear();
+    recorded_ = 0;
+  }
 
  private:
-  std::vector<ClusterEvent> ring_;
-  std::size_t capacity_;
-  std::size_t head_ = 0;
-  bool wrapped_ = false;
+  Ring<ClusterEvent> ring_;
   std::uint64_t recorded_ = 0;
-  std::uint64_t dropped_ = 0;
 };
 
 }  // namespace ks::obs

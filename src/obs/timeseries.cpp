@@ -14,15 +14,17 @@ void LatencySketch::observe(std::int64_t us) noexcept {
   ++count_;
 }
 
-std::int64_t LatencySketch::quantile_upper_bound(double q) const noexcept {
-  if (count_ == 0) return 0;
+std::int64_t sketch_quantile_upper_bound(
+    std::span<const std::uint64_t> buckets, std::uint64_t count,
+    double q) noexcept {
+  if (count == 0) return 0;
   q = std::clamp(q, 0.0, 1.0);
   // Rank of the q-th observation, 1-based; q=0 maps to the first.
   const std::uint64_t rank = std::max<std::uint64_t>(
-      1, static_cast<std::uint64_t>(q * static_cast<double>(count_) + 0.5));
+      1, static_cast<std::uint64_t>(q * static_cast<double>(count) + 0.5));
   std::uint64_t seen = 0;
-  for (std::size_t b = 0; b < buckets_.size(); ++b) {
-    seen += buckets_[b];
+  for (std::size_t b = 0; b < buckets.size(); ++b) {
+    seen += buckets[b];
     if (seen >= rank) {
       return b < kLatencySketchBoundsUs.size() ? kLatencySketchBoundsUs[b]
                                                : kLatencySketchOverflowUs;
@@ -40,16 +42,12 @@ TimeSeries::TimeSeries(std::string name, Duration interval,
                        std::size_t capacity)
     : name_(std::move(name)),
       interval_(std::max<Duration>(interval, 1)),
-      capacity_(std::max<std::size_t>(capacity, 1)) {}
+      ring_(capacity) {}
 
 void TimeSeries::observe(TimePoint t, double v) {
   const std::int64_t index = static_cast<std::int64_t>(t / interval_);
-  const std::size_t newest =
-      ring_.empty() ? 0
-                    : (wrapped_ ? (head_ + ring_.size() - 1) % ring_.size()
-                                : ring_.size() - 1);
   if (!ring_.empty()) {
-    Window& w = ring_[newest];
+    Window& w = ring_.back();
     if (index == w.index) {
       ++w.count;
       w.min = std::min(w.min, v);
@@ -58,36 +56,16 @@ void TimeSeries::observe(TimePoint t, double v) {
       return;
     }
     if (index < w.index) {
-      ++dropped_;  // Out of order: the window is sealed (or evicted).
+      ++out_of_order_;  // The window is sealed (or evicted).
       return;
     }
   }
-  const Window fresh{index, 1, v, v, v};
-  if (ring_.size() < capacity_) {
-    ring_.push_back(fresh);
-    return;
-  }
-  ring_[head_] = fresh;
-  head_ = (head_ + 1) % capacity_;
-  wrapped_ = true;
-  ++dropped_;
-}
-
-std::vector<TimeSeries::Window> TimeSeries::windows() const {
-  if (!wrapped_) return ring_;
-  std::vector<Window> out;
-  out.reserve(ring_.size());
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(ring_[(head_ + i) % ring_.size()]);
-  }
-  return out;
+  ring_.push_back(Window{index, 1, v, v, v});
 }
 
 double TimeSeries::last_mean(double fallback) const noexcept {
   if (ring_.empty()) return fallback;
-  const std::size_t newest =
-      wrapped_ ? (head_ + ring_.size() - 1) % ring_.size() : ring_.size() - 1;
-  const Window& w = ring_[newest];
+  const Window& w = ring_.back();
   return w.count > 0 ? w.sum / static_cast<double>(w.count) : fallback;
 }
 

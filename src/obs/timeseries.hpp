@@ -1,5 +1,5 @@
-// Deterministic sim-time time series: fixed-interval windows in a bounded
-// ring, plus a fixed-bucket latency sketch.
+// Deterministic sim-time time series: fixed-interval windows in an
+// obs::Ring, plus a fixed-bucket latency sketch.
 //
 // Where the Sampler snapshots every registered metric on a timer, a
 // TimeSeries aggregates *observations* — per-window count/min/max/sum over
@@ -14,10 +14,12 @@
 #include <array>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/types.hpp"
+#include "obs/ring.hpp"
 
 namespace ks::obs {
 
@@ -40,6 +42,16 @@ inline constexpr std::size_t kLatencySketchBuckets =
 inline constexpr std::int64_t kLatencySketchOverflowUs =
     std::numeric_limits<std::int64_t>::max();
 
+/// Upper bound of the bucket holding the q-th (q in [0,1]) of `count`
+/// observations spread over `buckets` (one count per bound, then +inf).
+/// The true quantile lies in (previous bound, returned bound]. When the
+/// quantile lands in the +inf overflow bucket there is no finite upper
+/// bound, so kLatencySketchOverflowUs is returned instead of silently
+/// capping at the largest finite bound. 0 when `count` is 0.
+std::int64_t sketch_quantile_upper_bound(
+    std::span<const std::uint64_t> buckets, std::uint64_t count,
+    double q) noexcept;
+
 /// Small fixed-bucket histogram for end-to-end latencies. O(buckets)
 /// memory, O(log buckets) observe, deterministic serialization.
 class LatencySketch {
@@ -52,12 +64,10 @@ class LatencySketch {
     return buckets_;
   }
 
-  /// Upper bound of the bucket holding the q-th observation (q in [0,1]).
-  /// The true quantile lies in (previous bound, returned bound]. When the
-  /// quantile lands in the +inf overflow bucket there is no finite upper
-  /// bound, so kLatencySketchOverflowUs is returned instead of silently
-  /// capping at the largest finite bound. 0 when empty.
-  std::int64_t quantile_upper_bound(double q) const noexcept;
+  /// sketch_quantile_upper_bound() over this sketch's buckets.
+  std::int64_t quantile_upper_bound(double q) const noexcept {
+    return sketch_quantile_upper_bound(buckets_, count_, q);
+  }
 
   void clear() noexcept;
 
@@ -86,13 +96,14 @@ class TimeSeries {
 
   const std::string& name() const noexcept { return name_; }
   Duration interval() const noexcept { return interval_; }
-  std::size_t capacity() const noexcept { return capacity_; }
   /// Windows evicted by ring overflow plus out-of-order drops.
-  std::uint64_t dropped() const noexcept { return dropped_; }
+  std::uint64_t dropped() const noexcept {
+    return ring_.evicted() + out_of_order_;
+  }
 
   /// Retained windows, oldest first. Gaps in `index` are genuinely empty
   /// windows (no probe landed there); they occupy no storage.
-  std::vector<Window> windows() const;
+  std::vector<Window> windows() const { return ring_.to_vector(); }
 
   /// Most recent window's mean, or `fallback` when empty.
   double last_mean(double fallback = 0.0) const noexcept;
@@ -100,11 +111,8 @@ class TimeSeries {
  private:
   std::string name_;
   Duration interval_;
-  std::size_t capacity_;
-  std::vector<Window> ring_;  ///< Ring; head_ = oldest when wrapped.
-  std::size_t head_ = 0;
-  bool wrapped_ = false;
-  std::uint64_t dropped_ = 0;
+  Ring<Window> ring_;
+  std::uint64_t out_of_order_ = 0;
 };
 
 }  // namespace ks::obs

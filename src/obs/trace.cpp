@@ -1,12 +1,9 @@
 #include "obs/trace.hpp"
 
-#include <algorithm>
-
 namespace ks::obs {
 
 const char* to_string(TraceEvent e) noexcept {
   switch (e) {
-    case TraceEvent::kEmitted: return "emitted";
     case TraceEvent::kOverrun: return "overrun";
     case TraceEvent::kSendAttempt: return "send_attempt";
     case TraceEvent::kRetry: return "retry";
@@ -22,43 +19,22 @@ const char* to_string(TraceEvent e) noexcept {
 }
 
 MessageTrace::MessageTrace(std::size_t capacity, std::uint64_t sample_every)
-    : capacity_(std::max<std::size_t>(capacity, 1)),
-      sample_every_(sample_every) {
-  if (enabled()) ring_.reserve(std::min<std::size_t>(capacity_, 1024));
+    : ring_(capacity), sample_every_(sample_every) {
+  if (enabled()) ring_.reserve(1024);
 }
 
 void MessageTrace::record(TimePoint t, std::uint64_t key, TraceEvent event,
                           std::int32_t detail) {
   if (!sampled(key)) return;
   ++recorded_;
-  const Entry e{t, key, event, detail};
-  if (ring_.size() < capacity_) {
-    ring_.push_back(e);
-    return;
-  }
-  ring_[head_] = e;
-  head_ = (head_ + 1) % capacity_;
-  wrapped_ = true;
-  ++dropped_;
-}
-
-std::size_t MessageTrace::size() const noexcept { return ring_.size(); }
-
-std::vector<MessageTrace::Entry> MessageTrace::entries() const {
-  if (!wrapped_) return ring_;
-  std::vector<Entry> out;
-  out.reserve(ring_.size());
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(ring_[(head_ + i) % ring_.size()]);
-  }
-  return out;
+  ring_.push_back(Entry{t, key, event, detail});
 }
 
 std::vector<MessageTrace::Entry> MessageTrace::events_for(
     std::uint64_t key) const {
   std::vector<Entry> out;
-  for (const auto& e : entries()) {
-    if (e.key == key) out.push_back(e);
+  for (std::size_t i = 0; i < ring_.size(); ++i) {
+    if (ring_[i].key == key) out.push_back(ring_[i]);
   }
   return out;
 }

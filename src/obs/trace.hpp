@@ -1,22 +1,22 @@
 // Bounded per-message lifecycle trace (the paper's Fig. 2 transitions).
 //
 // Records (time, key, event, detail) tuples for a configurable sample of
-// keys into a fixed-capacity ring: when full, the oldest entries are
-// overwritten and counted as dropped, so a misbehaving run can never blow
-// up memory. Queryable post-run to answer "what happened to message k?".
+// keys into an obs::Ring: when full, the oldest entries are overwritten
+// and counted as dropped, so a misbehaving run can never blow up memory.
+// Queryable post-run to answer "what happened to message k?".
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "common/types.hpp"
+#include "obs/ring.hpp"
 
 namespace ks::obs {
 
 /// Fig. 2 lifecycle events plus the pre-send hazards the census exposes.
 enum class TraceEvent : std::uint8_t {
-  kEmitted = 0,     ///< Source generated the message.
-  kOverrun,         ///< Evicted from the source ring before pull.
+  kOverrun = 0,     ///< Evicted from the source ring before pull.
   kSendAttempt,     ///< First produce attempt (transition I/II).
   kRetry,           ///< Re-sent after timeout/reset (III).
   kAppended,        ///< Persisted by a broker (I/IV; again => duplicate, VI).
@@ -35,7 +35,7 @@ class MessageTrace {
   struct Entry {
     TimePoint t = 0;
     std::uint64_t key = 0;
-    TraceEvent event = TraceEvent::kEmitted;
+    TraceEvent event = TraceEvent::kOverrun;
     std::int32_t detail = 0;  ///< Attempt number, broker id, ... per event.
   };
 
@@ -53,25 +53,21 @@ class MessageTrace {
   void record(TimePoint t, std::uint64_t key, TraceEvent event,
               std::int32_t detail = 0);
 
-  std::size_t size() const noexcept;
+  std::size_t size() const noexcept { return ring_.size(); }
   std::uint64_t recorded() const noexcept { return recorded_; }
-  std::uint64_t dropped() const noexcept { return dropped_; }
+  std::uint64_t dropped() const noexcept { return ring_.evicted(); }
   std::uint64_t sample_every() const noexcept { return sample_every_; }
 
   /// All retained entries in record order (oldest first).
-  std::vector<Entry> entries() const;
+  std::vector<Entry> entries() const { return ring_.to_vector(); }
 
   /// The retained lifecycle of one key, in record order.
   std::vector<Entry> events_for(std::uint64_t key) const;
 
  private:
-  std::vector<Entry> ring_;
-  std::size_t capacity_;
+  Ring<Entry> ring_;
   std::uint64_t sample_every_;
-  std::size_t head_ = 0;      ///< Next write slot once the ring wrapped.
-  bool wrapped_ = false;
   std::uint64_t recorded_ = 0;
-  std::uint64_t dropped_ = 0;
 };
 
 }  // namespace ks::obs

@@ -34,9 +34,6 @@ class TwoStateModulator {
   /// Invoked on every regime change (after the state is updated).
   void on_change(std::function<void(Regime)> cb) { on_change_ = std::move(cb); }
 
-  /// Time at which the current regime ends (only meaningful after start()).
-  TimePoint regime_end() const noexcept { return timer_.deadline(); }
-
  private:
   void schedule_next();
 

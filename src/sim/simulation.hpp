@@ -70,10 +70,6 @@ class Simulation {
   std::uint64_t events_executed() const noexcept { return executed_; }
   std::size_t pending_events() const noexcept { return queue_.size(); }
 
-  /// Host wall-clock time spent inside run()/step(), microseconds. Together
-  /// with now() this yields the wall-time-per-sim-second metric.
-  std::uint64_t wall_time_us() const noexcept { return wall_time_us_; }
-
   /// Pointer usable by Logger instances to stamp log lines with sim time.
   const TimePoint* clock_ptr() const noexcept { return &now_; }
 
@@ -82,7 +78,7 @@ class Simulation {
   TimePoint now_ = 0;
   Rng rng_;
   std::uint64_t executed_ = 0;
-  std::uint64_t wall_time_us_ = 0;
+  std::uint64_t wall_time_us_ = 0;  ///< Host time inside run()/step().
   bool stop_requested_ = false;
   obs::MetricsRegistry metrics_;
   obs::SpanTracer tracer_;

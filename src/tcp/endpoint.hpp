@@ -149,7 +149,6 @@ class Endpoint {
 
   const Stats& stats() const noexcept { return stats_; }
   const Config& config() const noexcept { return config_; }
-  double current_rto_ms() const noexcept { return to_millis(rto_); }
   /// Jacobson/Karels smoothed RTT estimate; 0 before the first sample.
   Duration smoothed_rtt() const noexcept { return srtt_; }
 

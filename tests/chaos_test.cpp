@@ -695,7 +695,7 @@ TEST(ChaosHealth, PinnedPermanentCrashSeedRaisesStallThenResolves) {
   EXPECT_GT(result.health_lag_alerts, 0u);
   bool stall_resolved = false;
   for (const auto& a : result.report.health.alerts) {
-    if (a.detector == "lag_stall" && a.resolved_us != -1) {
+    if (a.detector == obs::HealthDetector::kLagStall && a.resolved != -1) {
       stall_resolved = true;
     }
   }
@@ -706,8 +706,12 @@ TEST(ChaosHealth, PinnedPermanentCrashSeedRaisesStallThenResolves) {
   bool open_event = false;
   bool resolve_event = false;
   for (const auto& e : result.report.timeline) {
-    if (e.kind == "health_alert" && e.note == "lag_stall") open_event = true;
-    if (e.kind == "health_resolve" && e.note == "lag_stall") {
+    if (e.kind == obs::ClusterEventKind::kHealthAlertOpen &&
+        e.note == "lag_stall") {
+      open_event = true;
+    }
+    if (e.kind == obs::ClusterEventKind::kHealthAlertResolved &&
+        e.note == "lag_stall") {
       resolve_event = true;
     }
   }
@@ -739,7 +743,7 @@ TEST(ChaosHealth, HealthyGroupRunRaisesNoAlerts) {
   EXPECT_TRUE(result.report.health.alerts.empty());
   ASSERT_FALSE(result.report.health.verdicts.empty());
   for (const auto& v : result.report.health.verdicts) {
-    EXPECT_EQ(v.verdict, "OK") << "partition " << v.partition;
+    EXPECT_EQ(v.verdict, obs::LagVerdict::kOk) << "partition " << v.partition;
   }
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 
 #include "kpi/online_controller.hpp"
 #include "obs/profiler.hpp"
@@ -149,7 +150,9 @@ TEST(Determinism, MultiPartitionGroupRunIsByteIdentical) {
   // events are part of what replays byte-for-byte.
   bool saw_rebalance_event = false;
   for (const auto& e : first.report.timeline) {
-    if (e.kind.rfind("group_", 0) == 0) saw_rebalance_event = true;
+    if (std::string_view(obs::to_string(e.kind)).starts_with("group_")) {
+      saw_rebalance_event = true;
+    }
   }
   EXPECT_TRUE(saw_rebalance_event)
       << "no group_* events in the cluster timeline";

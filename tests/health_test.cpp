@@ -2,12 +2,17 @@
 // (OK / WARN / STALL / STOP), alert open/resolve lifecycle and timeline
 // mirroring, the rule-based cluster detectors, and the text rendering.
 // All driven directly through the probe interface with synthetic numbers,
-// no simulation behind it.
+// no simulation behind it. The ks_health binary is launched from the build
+// tree (KS_TOOLS_DIR, injected by CMake) to show hostile artifacts are
+// rejected before rendering.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
 #include <string>
 
 #include "obs/health.hpp"
+#include "obs/report.hpp"
 #include "obs/timeline.hpp"
 
 namespace ks::obs {
@@ -187,12 +192,12 @@ TEST(HealthMonitor, ExportCarriesVerdictsAlertsSeriesAndSketch) {
   EXPECT_EQ(h.ticks, 5u);
   EXPECT_EQ(h.interval_us, 10u);
   ASSERT_EQ(h.verdicts.size(), 1u);
-  EXPECT_EQ(h.verdicts[0].verdict, "STALL");
-  EXPECT_EQ(h.verdicts[0].worst, "STALL");
+  EXPECT_EQ(h.verdicts[0].verdict, LagVerdict::kStall);
+  EXPECT_EQ(h.verdicts[0].worst, LagVerdict::kStall);
   EXPECT_EQ(h.verdicts[0].lag, 3);
   ASSERT_EQ(h.alerts.size(), 1u);
-  EXPECT_EQ(h.alerts[0].detector, "lag_stall");
-  EXPECT_EQ(h.alerts[0].resolved_us, -1);
+  EXPECT_EQ(h.alerts[0].detector, HealthDetector::kLagStall);
+  EXPECT_EQ(h.alerts[0].resolved, -1);
   ASSERT_EQ(h.sketches.size(), 1u);
   EXPECT_EQ(h.sketches[0].count, 2u);
   bool lag_series = false;
@@ -208,6 +213,70 @@ TEST(HealthMonitor, ExportCarriesVerdictsAlertsSeriesAndSketch) {
   EXPECT_NE(text.find("STALL"), std::string::npos);
   EXPECT_NE(text.find("lag_stall"), std::string::npos);
   EXPECT_NE(text.find("group_lag_p0"), std::string::npos);
+}
+
+TEST(HealthRender, QuantilesComeStraightFromTheBuckets) {
+  RunReport report;
+  report.health.enabled = true;
+  HealthReport::Sketch sketch;
+  sketch.name = "e2e_ack_to_deliver_us";
+  sketch.count = 3;
+  sketch.buckets.assign(kLatencySketchBuckets, 0);
+  sketch.buckets.front() = 2;
+  sketch.buckets.back() = 1;
+  report.health.sketches.push_back(sketch);
+  // A 10^12-sample sketch renders as fast as a small one: nothing replays
+  // the samples.
+  sketch.count = 1000000000000;
+  sketch.buckets.front() = sketch.count;
+  sketch.buckets.back() = 0;
+  report.health.sketches.push_back(sketch);
+  const auto text = render_health_text(report);
+  EXPECT_NE(text.find("3 samples, p50 <= 100 us, p99 > 5000000 us "
+                      "(overflow)"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("1000000000000 samples, p50 <= 100 us, p99 <= 100 us"),
+            std::string::npos)
+      << text;
+}
+
+/// Exit status of `ks_health <path>` with its output discarded; -1 when it
+/// did not exit normally (a crash or a sanitizer abort).
+int ks_health_exit_status(const std::string& path) {
+  const std::string cmd =
+      std::string(KS_TOOLS_DIR) + "/ks_health " + path + " >/dev/null 2>&1";
+  const int raw = std::system(cmd.c_str());
+  if (raw == -1 || !WIFEXITED(raw)) return -1;
+  return WEXITSTATUS(raw);
+}
+
+std::string write_artifact(const std::string& name, const std::string& json) {
+  const std::string path = testing::TempDir() + "/" + name;
+  std::ofstream(path) << json;
+  return path;
+}
+
+TEST(HealthCli, RejectsASeriesWithALongerTimeArray) {
+  // The sparkline indexed count/sum by t_us and read past their end.
+  const auto path = write_artifact(
+      "health_series_over_read.json",
+      R"({"health":{"enabled":true,"interval_us":60000,"ticks":3,)"
+      R"("series":[{"name":"group_lag_p0","interval_us":60000,"dropped":0,)"
+      R"("t_us":[0,60000,120000,180000],"count":[1],"min":[1],"max":[1],)"
+      R"("sum":[1]}]}})");
+  EXPECT_EQ(ks_health_exit_status(path), 1);
+}
+
+TEST(HealthCli, RejectsASketchWhoseBucketsDoNotSumToItsCount) {
+  // The renderer replayed every bucket count as observe() calls: 10^12 of
+  // them here.
+  const auto path = write_artifact(
+      "health_sketch_replay.json",
+      R"({"health":{"enabled":true,"interval_us":60000,"ticks":3,)"
+      R"("sketches":[{"name":"e2e_ack_to_deliver_us","count":2,)"
+      R"("buckets":[1000000000000,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}]}})");
+  EXPECT_EQ(ks_health_exit_status(path), 1);
 }
 
 }  // namespace

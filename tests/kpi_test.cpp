@@ -95,64 +95,12 @@ TEST(Predictor, UntrainedThrows) {
   EXPECT_THROW(predictor.predict(testbed::Scenario{}), std::logic_error);
 }
 
-// Build synthetic datasets with a known functional form and check the
+// The synthetic datasets have a known functional form; check the
 // predictor learns it well enough to rank configurations.
 class TrainedPredictor : public ::testing::Test {
  protected:
-  static ann::Dataset synth_normal() {
-    ann::Dataset ds;
-    // P_l falls with T_o (column 1 of normal features) and B, P_d = 0.
-    for (double s : {1000.0, 5000.0}) {
-      for (double t_o = 250; t_o <= 2000; t_o += 250) {
-        for (double delta : {0.0, 10.0, 50.0}) {
-          for (double sem : {0.0, 1.0}) {
-            for (double b : {1.0, 4.0, 10.0}) {
-              const double pl =
-                  std::max(0.0, 0.5 - t_o / 5000.0 - delta / 200.0 -
-                                     0.1 * sem - 0.01 * b);
-              ds.add({s, t_o, delta, sem, b}, {pl, 0.0});
-            }
-          }
-        }
-      }
-    }
-    ds.finalize();
-    return ds;
-  }
-
-  static ann::Dataset synth_abnormal() {
-    ann::Dataset ds;
-    // P_l rises with L, falls with B and M; P_d falls with B.
-    for (double m : {50.0, 200.0, 600.0, 1000.0}) {
-      for (double d : {20.0, 100.0}) {
-        for (double l = 0.0; l <= 0.5; l += 0.05) {
-          for (double sem : {0.0, 1.0}) {
-            for (double b : {1.0, 2.0, 5.0, 10.0}) {
-              const double pl = std::clamp(
-                  l * 2.0 - 0.04 * b - m / 5000.0 - 0.05 * sem, 0.0, 1.0);
-              const double pd = sem * std::max(0.0, 0.05 - 0.004 * b);
-              ds.add({m, d, l, sem, b}, {pl, pd});
-            }
-          }
-        }
-      }
-    }
-    ds.finalize();
-    return ds;
-  }
-
-  static ReliabilityPredictor& predictor() {
-    static ReliabilityPredictor* instance = [] {
-      auto* p = new ReliabilityPredictor();
-      ann::TrainConfig tc;
-      tc.epochs = 150;
-      tc.learning_rate = 0.5;
-      tc.batch_size = 16;
-      Rng rng(42);
-      p->train(synth_normal(), synth_abnormal(), tc, rng);
-      return p;
-    }();
-    return *instance;
+  static const ReliabilityPredictor& predictor() {
+    return synthetic_predictor();
   }
 };
 
@@ -163,7 +111,8 @@ TEST_F(TrainedPredictor, AccuracyMeetsPaperTarget) {
   tc.batch_size = 16;
   Rng rng(43);
   ReliabilityPredictor p;
-  const auto result = p.train(synth_normal(), synth_abnormal(), tc, rng);
+  const auto result = p.train(synthetic_normal_dataset(),
+                              synthetic_abnormal_dataset(), tc, rng);
   EXPECT_LT(result.normal_mae, 0.02);
   EXPECT_LT(result.abnormal_mae, 0.02);
 }
@@ -529,16 +478,18 @@ TEST(TableII, ThreeArmsRunOnTheTestbed) {
   const auto online = run_checked(live);
 
   const auto count_kind = [](const testbed::ExperimentResult& r,
-                             const std::string& kind) {
+                             obs::ClusterEventKind kind) {
     return static_cast<std::size_t>(std::count_if(
         r.report.timeline.begin(), r.report.timeline.end(),
         [&](const auto& e) { return e.kind == kind; }));
   };
-  EXPECT_EQ(count_kind(def, "fault_injected"), trace.points.size());
+  EXPECT_EQ(count_kind(def, obs::ClusterEventKind::kFaultInjected),
+            trace.points.size());
   EXPECT_EQ(def.report.timeline_dropped, 0u);
   EXPECT_EQ(def.adaptive_ticks, 0u);
   EXPECT_EQ(dyn.adaptive_reconfigurations, schedule.size() - 1);
-  EXPECT_EQ(count_kind(dyn, "reconfigure"), schedule.size() - 1);
+  EXPECT_EQ(count_kind(dyn, obs::ClusterEventKind::kReconfigure),
+            schedule.size() - 1);
   EXPECT_EQ(testbed::run_experiment(oracle).report.canonical_json(),
             dyn.report.canonical_json());
   EXPECT_LT(dyn.p_loss, def.p_loss);

@@ -4,7 +4,9 @@
 // a double-only number representation would corrupt.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <limits>
+#include <set>
 #include <string>
 
 #include "obs/json_parse.hpp"
@@ -17,15 +19,35 @@
 namespace ks::obs {
 namespace {
 
-TEST(ReportParse, MetricKindFromStringInvertsToString) {
-  for (const auto kind : {MetricKind::kCounter, MetricKind::kGauge,
-                          MetricKind::kHistogram}) {
-    const auto parsed = metric_kind_from_string(to_string(kind));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, kind);
+/// Every value of E in [0, last] maps to a distinct name that
+/// enum_from_string<E> maps back to it; the name of an unnamed value ("?")
+/// and the empty string map to nothing.
+template <typename E>
+void expect_names_round_trip(E last) {
+  std::set<std::string> names;
+  for (int i = 0; i <= static_cast<int>(last); ++i) {
+    const auto value = static_cast<E>(i);
+    const std::string name = to_string(value);
+    EXPECT_NE(name, "?") << "value " << i << " has no name";
+    EXPECT_TRUE(names.insert(name).second) << "duplicate name " << name;
+    const auto parsed = enum_from_string<E>(name);
+    ASSERT_TRUE(parsed.has_value()) << name;
+    EXPECT_EQ(*parsed, value) << name;
   }
-  EXPECT_FALSE(metric_kind_from_string("summary").has_value());
-  EXPECT_FALSE(metric_kind_from_string("").has_value());
+  EXPECT_EQ(std::string(to_string(static_cast<E>(static_cast<int>(last) + 1))),
+            "?");
+  EXPECT_FALSE(enum_from_string<E>("?").has_value());
+  EXPECT_FALSE(enum_from_string<E>("").has_value());
+}
+
+TEST(ReportParse, MetricKindFromStringInvertsToString) {
+  expect_names_round_trip(MetricKind::kHistogram);
+  EXPECT_FALSE(enum_from_string<MetricKind>("summary").has_value());
+  expect_names_round_trip(TraceEvent::kDupDetected);
+  expect_names_round_trip(SpanKind::kDeliver);
+  expect_names_round_trip(ClusterEventKind::kReconfigure);
+  expect_names_round_trip(HealthDetector::kFlushStall);
+  expect_names_round_trip(LagVerdict::kStop);
 }
 
 TEST(ReportParse, IntegerTokensKeepExact64BitValues) {
@@ -62,17 +84,20 @@ RunReport make_full_report() {
   report.series.push_back(series);
   report.trace_sample_every = 10;
   report.trace_dropped = 2;
-  report.trace.push_back({150000, 40, "produce.enqueue", 0});
-  report.trace.push_back({160000, 40, "broker.append", 1});
+  report.trace.push_back({150000, 40, TraceEvent::kSendAttempt, 0});
+  report.trace.push_back({160000, 40, TraceEvent::kAppended, 1});
   report.span_sample_every = 1;
   report.spans_dropped = 0;
-  report.spans.push_back(
-      {(1ull << 60) + 7, 0, kNoKey, "election", kTrackControl, -5, 100, 900});
-  report.spans.push_back({2, 1, 40, "produce", kTrackProducer, 0, 150, 450});
+  report.spans.push_back({(1ull << 60) + 7, 0, kNoKey,
+                          SpanKind::kBrokerFetch, kTrackControl, -5, 100,
+                          900});
+  report.spans.push_back({2, 1, 40, SpanKind::kProduceBatch, kTrackProducer,
+                          0, 150, 450});
   report.timeline_dropped = 1;
+  report.timeline.push_back({120000, ClusterEventKind::kLeaderElected, 2, 0,
+                             -1, 7, "isr shrank"});
   report.timeline.push_back(
-      {120000, "leader_elected", 2, 0, -1, 7, "isr shrank"});
-  report.timeline.push_back({130000, "isr_change", 1, 0, 3, 2, ""});
+      {130000, ClusterEventKind::kIsrShrink, 1, 0, 3, 2, ""});
   report.acked_lost_keys = {41, (1ull << 55) + 3};
   report.lost_keys = {44};
   report.perf.wall_us = 123456;
@@ -167,8 +192,8 @@ TEST(ReportParse, HealthSectionWithAlertsRoundTripsByteExact) {
   ASSERT_EQ(parsed->health.alerts.size(), result.report.health.alerts.size());
   EXPECT_EQ(parsed->health.alerts[0].detector,
             result.report.health.alerts[0].detector);
-  EXPECT_EQ(parsed->health.alerts[0].opened_us,
-            result.report.health.alerts[0].opened_us);
+  EXPECT_EQ(parsed->health.alerts[0].opened,
+            result.report.health.alerts[0].opened);
   ASSERT_EQ(parsed->health.verdicts.size(),
             result.report.health.verdicts.size());
   EXPECT_EQ(parsed->health.verdicts[0].verdict,
@@ -188,6 +213,80 @@ TEST(ReportParse, RejectsMalformedInput) {
   const auto empty = report_from_json("{}");
   ASSERT_TRUE(empty.has_value());
   EXPECT_TRUE(empty->metrics.empty());
+}
+
+bool parses(const std::string& json) {
+  return report_from_json(json).has_value();
+}
+
+/// `format` with its one %s replaced by `name`.
+std::string with_name(const char* format, const char* name) {
+  char buf[256];
+  std::snprintf(buf, sizeof(buf), format, name);
+  return buf;
+}
+
+TEST(ReportParse, RejectsUnknownEnumNames) {
+  // Each document parses with a known name, so each rejection below is the
+  // unknown name's doing.
+  const char* trace = R"({"trace":{"events":[{"key":1,"event":"%s"}]}})";
+  EXPECT_TRUE(parses(with_name(trace, "acked")));
+  EXPECT_FALSE(parses(with_name(trace, "emitted")));
+  EXPECT_FALSE(parses(with_name(trace, "")));
+  const char* spans = R"({"spans":{"events":[{"id":1,"kind":"%s"}]}})";
+  EXPECT_TRUE(parses(with_name(spans, "tcp.flight")));
+  EXPECT_FALSE(parses(with_name(spans, "tcp_flight")));
+  const char* timeline = R"({"timeline":{"events":[{"kind":"%s"}]}})";
+  EXPECT_TRUE(parses(with_name(timeline, "isr_shrink")));
+  EXPECT_FALSE(parses(with_name(timeline, "isr_change")));
+  const char* alert = R"({"health":{"alerts":[{"detector":"%s"}]}})";
+  EXPECT_TRUE(parses(with_name(alert, "lag_stall")));
+  EXPECT_FALSE(parses(with_name(alert, "lag_stal")));
+  const char* verdict =
+      R"({"health":{"verdicts":[{"verdict":"%s","worst":"STALL"}]}})";
+  EXPECT_TRUE(parses(with_name(verdict, "OK")));
+  EXPECT_FALSE(parses(with_name(verdict, "ok")));
+  const char* worst =
+      R"({"health":{"verdicts":[{"verdict":"OK","worst":"%s"}]}})";
+  EXPECT_TRUE(parses(with_name(worst, "STOP")));
+  EXPECT_FALSE(parses(with_name(worst, "STOPPED")));
+}
+
+/// A health section holding one series with the given array bodies.
+std::string health_series(const char* t, const char* count, const char* min,
+                          const char* max, const char* sum) {
+  return std::string(R"({"health":{"series":[{"name":"s","t_us":[)") + t +
+         R"(],"count":[)" + count + R"(],"min":[)" + min + R"(],"max":[)" +
+         max + R"(],"sum":[)" + sum + "]}]}}";
+}
+
+/// A health section holding one latency sketch.
+std::string health_sketch(const char* count, const char* buckets) {
+  return std::string(R"({"health":{"sketches":[{"name":"e2e","count":)") +
+         count + R"(,"buckets":[)" + buckets + "]}]}}";
+}
+
+TEST(ReportParse, RejectsInconsistentHealthSeriesAndSketches) {
+  EXPECT_TRUE(parses(health_series("0,10", "1,1", "1,2", "1,2", "1,2")));
+  // A t_us array longer than the window arrays made the sparkline read
+  // past their end.
+  EXPECT_FALSE(parses(health_series("0,10,20", "1,1", "1,2", "1,2", "1,2")));
+  EXPECT_FALSE(parses(health_series("0,10", "1", "1,2", "1,2", "1,2")));
+  EXPECT_FALSE(parses(health_series("0,10", "1,1", "1", "1,2", "1,2")));
+  EXPECT_FALSE(parses(health_series("0,10", "1,1", "1,2", "1,2,3", "1,2")));
+  EXPECT_FALSE(parses(health_series("0,10", "1,1", "1,2", "1,2", "")));
+
+  // kLatencySketchBuckets (16) buckets that sum to the count.
+  EXPECT_TRUE(parses(health_sketch("3", "1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,2")));
+  EXPECT_FALSE(parses(health_sketch("4", "1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,2")));
+  EXPECT_FALSE(parses(health_sketch("3", "1,0,0,0,0,0,0,0,0,0,0,0,0,0,2")));
+  EXPECT_FALSE(
+      parses(health_sketch("3", "1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,2,0")));
+  // A 10^12 bucket count the old renderer replayed one observe() at a time.
+  EXPECT_FALSE(parses(health_sketch("1000000000000", "1000000000000")));
+  // Buckets whose sum wraps around 2^64 back onto the count.
+  EXPECT_FALSE(parses(health_sketch(
+      "1", "18446744073709551615,2,0,0,0,0,0,0,0,0,0,0,0,0,0,0")));
 }
 
 TEST(ReportParse, LoadRunReportReadsWhatWriteJsonWrote) {

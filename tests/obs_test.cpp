@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -13,6 +14,7 @@
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/report.hpp"
+#include "obs/ring.hpp"
 #include "obs/sampler.hpp"
 #include "obs/trace.hpp"
 
@@ -203,6 +205,83 @@ TEST(Sampler, CsvHasHeaderAndOneRowPerSample) {
   EXPECT_NE(csv.find("2000,2"), std::string::npos);
 }
 
+std::vector<int> contents(const Ring<int>& ring) {
+  std::vector<int> out;
+  for (std::size_t i = 0; i < ring.size(); ++i) out.push_back(ring[i]);
+  return out;
+}
+
+TEST(Ring, FillsThenOverwritesOldestFirst) {
+  Ring<int> ring(3);
+  EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(ring.capacity(), 3u);
+  for (int v = 1; v <= 3; ++v) ring.push_back(v);
+  EXPECT_EQ(contents(ring), (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(ring.back(), 3);
+  EXPECT_EQ(ring.evicted(), 0u);
+
+  // Wrap past the end twice over: always the newest three, oldest first.
+  for (int v = 4; v <= 8; ++v) {
+    ring.push_back(v);
+    EXPECT_EQ(ring.size(), 3u);
+    EXPECT_EQ(ring.back(), v);
+    EXPECT_EQ(ring[0], v - 2);
+  }
+  EXPECT_EQ(contents(ring), (std::vector<int>{6, 7, 8}));
+  EXPECT_EQ(ring.to_vector(), contents(ring));
+  EXPECT_EQ(ring.evicted(), 5u);
+
+  // Writes through indexing and back() land on the entry they name.
+  ring[0] = 60;
+  ring.back() = 80;
+  EXPECT_EQ(ring.to_vector(), (std::vector<int>{60, 7, 80}));
+}
+
+TEST(Ring, CapacityOneKeepsTheNewest) {
+  Ring<int> ring(1);
+  ring.push_back(1);
+  EXPECT_EQ(ring.evicted(), 0u);
+  ring.push_back(2);
+  ring.push_back(3);
+  EXPECT_EQ(ring.to_vector(), (std::vector<int>{3}));
+  EXPECT_EQ(ring.back(), 3);
+  EXPECT_EQ(ring.evicted(), 2u);
+  // Capacity 0 is treated as 1.
+  EXPECT_EQ(Ring<int>(0).capacity(), 1u);
+}
+
+TEST(Ring, ClearEmptiesAndRestartsTheCount) {
+  Ring<int> ring(2);
+  for (int v = 1; v <= 5; ++v) ring.push_back(v);
+  ring.clear();
+  EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(ring.evicted(), 0u);
+  EXPECT_EQ(ring.capacity(), 2u);
+  ring.push_back(7);
+  ring.push_back(8);
+  ring.push_back(9);
+  EXPECT_EQ(ring.to_vector(), (std::vector<int>{8, 9}));
+  EXPECT_EQ(ring.evicted(), 1u);
+}
+
+TEST(Ring, AllocatesNothingUpFrontAndReservesAtMostItsCapacity) {
+  const auto setup = profiler().snapshot();
+  auto probe = std::make_unique<int>(0);
+  if (profiler().snapshot().since(setup).alloc_bytes == 0) {
+    GTEST_SKIP() << "allocation counting is off in this build";
+  }
+  const auto start = profiler().snapshot();
+  Ring<std::uint64_t> big(std::size_t{1} << 30);  // 8 GiB if allocated.
+  EXPECT_EQ(profiler().snapshot().since(start).alloc_bytes, 0u);
+  big.reserve(1024);
+  EXPECT_EQ(profiler().snapshot().since(start).alloc_bytes,
+            1024 * sizeof(std::uint64_t));
+  Ring<std::uint64_t> small(4);
+  small.reserve(1024);
+  EXPECT_EQ(profiler().snapshot().since(start).alloc_bytes,
+            (1024 + 4) * sizeof(std::uint64_t));
+}
+
 TEST(MessageTrace, RecordsOnlySampledKeys) {
   MessageTrace trace(16, 10);  // Keys 0, 10, 20, ...
   trace.record(1, 10, TraceEvent::kSendAttempt);
@@ -309,7 +388,7 @@ TEST(Exporters, RunReportCarriesMetricsSeriesAndTrace) {
   EXPECT_EQ(report.histograms[0].count, 1u);
   ASSERT_FALSE(report.series.empty());
   ASSERT_EQ(report.trace.size(), 1u);
-  EXPECT_EQ(report.trace[0].event, "acked");
+  EXPECT_EQ(report.trace[0].event, TraceEvent::kAcked);
 
   const std::string json = report.to_json();
   EXPECT_EQ(json.front(), '{');

@@ -223,11 +223,11 @@ TEST(PerfettoExport, ExperimentSpanForestIsWellFormed) {
   sc.trace_sample_every = 7;
   const auto result = testbed::run_experiment(sc);
   ASSERT_FALSE(result.report.spans.empty());
-  std::map<std::uint64_t, const RunReport::SpanEntry*> by_id;
+  std::map<std::uint64_t, const Span*> by_id;
   for (const auto& s : result.report.spans) by_id.emplace(s.id, &s);
   std::set<std::string> kinds;
   for (const auto& s : result.report.spans) {
-    kinds.insert(s.kind);
+    kinds.insert(to_string(s.kind));
     EXPECT_GE(s.end, s.begin);
     if (s.parent == 0) continue;
     auto it = by_id.find(s.parent);
@@ -308,7 +308,7 @@ TEST(Explain, NarrativeCarriesHealthAlertsAndOpenAlertVerdictTail) {
   ASSERT_GT(result.health_lag_alerts, 0u);
   bool open_at_end = false;
   for (const auto& a : result.report.health.alerts) {
-    if (a.resolved_us == -1) open_at_end = true;
+    if (a.resolved == -1) open_at_end = true;
   }
   ASSERT_TRUE(open_at_end)
       << "total member loss left no alert open at end of run";
