@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
-#include "obs/json.hpp"
-#include "obs/json_parse.hpp"
+#include "obs/json_fields.hpp"
 
 namespace ks::bench {
 
@@ -32,237 +30,90 @@ DistStat DistStat::of(std::vector<double> samples) {
   return d;
 }
 
-namespace {
+// The artifact's JSON form — its schema: one field list per record, walked
+// by both to_json() and parse() (obs/json_fields.hpp).
 
-void write_dist(obs::JsonWriter& w, const char* key, const DistStat& d) {
-  w.key(key);
-  w.begin_object();
-  w.key("mean");
-  w.value(d.mean);
-  w.key("median");
-  w.value(d.median);
-  w.key("stddev");
-  w.value(d.stddev);
-  w.key("min");
-  w.value(d.min);
-  w.key("samples");
-  w.begin_array();
-  for (double v : d.samples) w.value(v);
-  w.end_array();
-  w.end_object();
+template <class V>
+void fields(V& v, Fingerprint& f) {
+  v("git_sha", f.git_sha);
+  v("compiler", f.compiler);
+  v("flags", f.flags);
+  v("build_type", f.build_type);
+  v("os", f.os);
+  v("host", f.host);
 }
 
-DistStat parse_dist(const obs::JsonValue* v) {
-  DistStat d;
-  if (v == nullptr || !v->is_object()) return d;
-  d.mean = v->num_or("mean");
-  d.median = v->num_or("median");
-  d.stddev = v->num_or("stddev");
-  d.min = v->num_or("min");
-  if (const auto* samples = v->find("samples");
-      samples != nullptr && samples->is_array()) {
-    for (const auto& s : samples->array) d.samples.push_back(s.number);
-  }
-  return d;
+template <class V>
+void fields(V& v, DistStat& d) {
+  v("mean", d.mean);
+  v("median", d.median);
+  v("stddev", d.stddev);
+  v("min", d.min);
+  v("samples", d.samples);
 }
 
-}  // namespace
-
-std::string Artifact::to_json() const {
-  obs::JsonWriter w;
-  w.begin_object();
-  w.key("schema_version");
-  w.value(schema_version);
-  w.key("bench");
-  w.value(bench);
-
-  w.key("fingerprint");
-  w.begin_object();
-  w.key("git_sha");
-  w.value(fingerprint.git_sha);
-  w.key("compiler");
-  w.value(fingerprint.compiler);
-  w.key("flags");
-  w.value(fingerprint.flags);
-  w.key("build_type");
-  w.value(fingerprint.build_type);
-  w.key("os");
-  w.value(fingerprint.os);
-  w.key("host");
-  w.value(fingerprint.host);
-  w.end_object();
-
-  w.key("config");
-  w.begin_object();
-  w.key("messages");
-  w.value(messages);
-  w.key("full");
-  w.value(full);
-  w.key("repeat");
-  w.value(repeat);
-  w.key("warmup");
-  w.value(warmup);
-  w.key("reps_per_point");
-  w.value(reps_per_point);
-  w.key("profiled");
-  w.value(profiled);
-  w.end_object();
-
-  w.key("timing");
-  w.begin_object();
-  write_dist(w, "wall_s", wall_s);
-  w.key("sim_seconds");
-  w.value(sim_seconds);
-  w.key("sim_events");
-  w.value(sim_events);
-  w.key("experiments");
-  w.value(experiments);
-  write_dist(w, "sim_s_per_wall_s", sim_s_per_wall_s);
-  write_dist(w, "events_per_wall_s", events_per_wall_s);
-  w.end_object();
-
-  w.key("profile");
-  w.begin_object();
-  w.key("peak_rss_kb");
-  w.value(peak_rss_kb);
-  w.key("alloc_count");
-  w.value(alloc_count);
-  w.key("alloc_bytes");
-  w.value(alloc_bytes);
-  w.key("sections");
-  w.begin_array();
-  for (const auto& s : sections) {
-    w.begin_object();
-    w.key("name");
-    w.value(s.name);
-    w.key("calls");
-    w.value(s.calls);
-    w.key("total_ns");
-    w.value(s.total_ns);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-
-  w.key("points");
-  w.begin_array();
-  for (const auto& p : points) {
-    w.begin_object();
-    w.key("params");
-    w.begin_object();
-    for (const auto& [k, v] : p.params) {
-      w.key(k);
-      w.value(v);
-    }
-    w.end_object();
-    w.key("metrics");
-    w.begin_object();
-    for (const auto& [k, stat] : p.metrics) {
-      w.key(k);
-      w.begin_object();
-      w.key("mean");
-      w.value(stat.mean);
-      w.key("stddev");
-      w.value(stat.stddev);
-      w.end_object();
-    }
-    w.end_object();
-    w.end_object();
-  }
-  w.end_array();
-
-  w.end_object();
-  return w.str();
+template <class V>
+void fields(V& v, Stat& s) {
+  v("mean", s.mean);
+  v("stddev", s.stddev);
 }
+
+template <class V>
+void fields(V& v, ArtifactPoint& p) {
+  v("params", p.params);
+  v("metrics", p.metrics);
+}
+
+template <class V>
+void fields(V& v, Artifact& a) {
+  v("schema_version", a.schema_version);
+  v("bench", a.bench);
+  v("fingerprint", a.fingerprint);
+  v.object("config", [&] {
+    v("messages", a.messages);
+    v("full", a.full);
+    v("repeat", a.repeat);
+    v("warmup", a.warmup);
+    v("reps_per_point", a.reps_per_point);
+    v("profiled", a.profiled);
+  });
+  v.object("timing", [&] {
+    v("wall_s", a.wall_s);
+    v("sim_seconds", a.sim_seconds);
+    v("sim_events", a.sim_events);
+    v("experiments", a.experiments);
+    v("sim_s_per_wall_s", a.sim_s_per_wall_s);
+    v("events_per_wall_s", a.events_per_wall_s);
+  });
+  v.object("profile", [&] {
+    v("peak_rss_kb", a.peak_rss_kb);
+    v("alloc_count", a.alloc_count);
+    v("alloc_bytes", a.alloc_bytes);
+    v("sections", a.sections);
+  });
+  v("points", a.points);
+}
+
+std::string Artifact::to_json() const { return obs::encode_json(*this); }
 
 bool Artifact::write(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string json = to_json();
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  std::fclose(f);
-  return ok;
+  return obs::write_file(path, to_json());
 }
 
 std::optional<Artifact> Artifact::parse(const std::string& json) {
-  const auto doc = obs::parse_json(json);
-  if (!doc || !doc->is_object()) return std::nullopt;
   Artifact a;
-  a.schema_version = static_cast<int>(doc->int_or("schema_version", 0));
-  if (a.schema_version != kArtifactSchemaVersion) return std::nullopt;
-  a.bench = doc->str_or("bench");
-  if (a.bench.empty()) return std::nullopt;
-
-  if (const auto* fp = doc->find("fingerprint"); fp != nullptr) {
-    a.fingerprint.git_sha = fp->str_or("git_sha");
-    a.fingerprint.compiler = fp->str_or("compiler");
-    a.fingerprint.flags = fp->str_or("flags");
-    a.fingerprint.build_type = fp->str_or("build_type");
-    a.fingerprint.os = fp->str_or("os");
-    a.fingerprint.host = fp->str_or("host");
-  }
-  if (const auto* cfg = doc->find("config"); cfg != nullptr) {
-    a.messages = static_cast<std::uint64_t>(cfg->int_or("messages"));
-    if (const auto* v = cfg->find("full")) a.full = v->boolean;
-    a.repeat = static_cast<int>(cfg->int_or("repeat", 1));
-    a.warmup = static_cast<int>(cfg->int_or("warmup"));
-    a.reps_per_point = static_cast<int>(cfg->int_or("reps_per_point"));
-    if (const auto* v = cfg->find("profiled")) a.profiled = v->boolean;
-  }
-  if (const auto* t = doc->find("timing"); t != nullptr) {
-    a.wall_s = parse_dist(t->find("wall_s"));
-    a.sim_seconds = t->num_or("sim_seconds");
-    a.sim_events = static_cast<std::uint64_t>(t->int_or("sim_events"));
-    a.experiments = static_cast<std::uint64_t>(t->int_or("experiments"));
-    a.sim_s_per_wall_s = parse_dist(t->find("sim_s_per_wall_s"));
-    a.events_per_wall_s = parse_dist(t->find("events_per_wall_s"));
-  }
-  if (const auto* p = doc->find("profile"); p != nullptr) {
-    a.peak_rss_kb = p->int_or("peak_rss_kb");
-    a.alloc_count = static_cast<std::uint64_t>(p->int_or("alloc_count"));
-    a.alloc_bytes = static_cast<std::uint64_t>(p->int_or("alloc_bytes"));
-    if (const auto* sections = p->find("sections");
-        sections != nullptr && sections->is_array()) {
-      for (const auto& s : sections->array) {
-        a.sections.push_back(
-            {s.str_or("name"),
-             static_cast<std::uint64_t>(s.int_or("calls")),
-             static_cast<std::uint64_t>(s.int_or("total_ns"))});
-      }
-    }
-  }
-  if (const auto* pts = doc->find("points");
-      pts != nullptr && pts->is_array()) {
-    for (const auto& pt : pts->array) {
-      ArtifactPoint point;
-      if (const auto* params = pt.find("params");
-          params != nullptr && params->is_object()) {
-        for (const auto& [k, v] : params->object) {
-          point.params.emplace_back(k, v.number);
-        }
-      }
-      if (const auto* metrics = pt.find("metrics");
-          metrics != nullptr && metrics->is_object()) {
-        for (const auto& [k, v] : metrics->object) {
-          point.metrics.emplace_back(
-              k, Stat{v.num_or("mean"), v.num_or("stddev")});
-        }
-      }
-      a.points.push_back(std::move(point));
-    }
+  a.schema_version = 0;  // A document must name its schema.
+  if (!obs::decode_json(json, a) ||
+      a.schema_version != kArtifactSchemaVersion || a.bench.empty()) {
+    return std::nullopt;
   }
   return a;
 }
 
 std::optional<Artifact> Artifact::load(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return std::nullopt;
-  std::string text;
-  char buf[1 << 16];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
-  std::fclose(f);
-  return parse(text);
+  const auto text = obs::read_file(path);
+  if (!text) return std::nullopt;
+  return parse(*text);
 }
 
 std::string artifact_filename(const std::string& bench) {

@@ -1,21 +1,14 @@
 // BENCH_<name>.json — the versioned, schema'd artifact every registered
 // bench emits through the unified ks_bench runner.
 //
-// Schema v2 layout (v1, the ad-hoc per-bench points file with embedded
-// RunReports, is gone — ks_bench_diff rejects it by schema_version):
+// The schema is the field lists in artifact.cpp: to_json() and parse() both
+// walk them (obs/json_fields.hpp), so each key is spelled once. Schema v2
+// (v1, the ad-hoc per-bench points file with embedded RunReports, is gone —
+// parse() rejects any other schema_version) reads, in order:
 //
-//   {
-//     "schema_version": 2,
-//     "bench": "<name>",
-//     "fingerprint": { git_sha, compiler, flags, build_type, os, host },
-//     "config":  { messages, full, repeat, warmup, reps_per_point,
-//                  profiled },
-//     "timing":  { wall_s: DistStat, sim_seconds, sim_events, experiments,
-//                  sim_s_per_wall_s: DistStat, events_per_wall_s: DistStat },
-//     "profile": { peak_rss_kb, alloc_count, alloc_bytes,
-//                  sections: [{name, calls, total_ns}] },
-//     "points":  [ { params: {k: v}, metrics: {k: {mean, stddev}} } ]
-//   }
+//   schema_version, bench, fingerprint, config, timing, profile, points
+//
+// where points is [ { params: {k: v}, metrics: {k: {mean, stddev}} } ].
 //
 // Stability contract: `bench`, `config` and `points` are byte-stable
 // across runs of the same build and environment knobs (they come from the
@@ -32,6 +25,7 @@
 
 #include "bench_core/fingerprint.hpp"
 #include "bench_core/runner.hpp"
+#include "obs/profiler.hpp"
 
 namespace ks::bench {
 
@@ -81,12 +75,7 @@ struct Artifact {
   std::int64_t peak_rss_kb = 0;
   std::uint64_t alloc_count = 0;
   std::uint64_t alloc_bytes = 0;
-  struct Section {
-    std::string name;
-    std::uint64_t calls = 0;
-    std::uint64_t total_ns = 0;
-  };
-  std::vector<Section> sections;
+  std::vector<obs::ProfileSection> sections;
 
   // points — byte-stable deterministic results.
   std::vector<ArtifactPoint> points;
@@ -94,7 +83,9 @@ struct Artifact {
   std::string to_json() const;
   bool write(const std::string& path) const;
 
-  /// Parse one artifact; nullopt on malformed JSON or schema mismatch.
+  /// Parse one artifact by the reading rule of obs/json_fields.hpp; nullopt
+  /// on malformed JSON, a field the rule rejects, a schema_version other
+  /// than kArtifactSchemaVersion or an empty bench name.
   static std::optional<Artifact> parse(const std::string& json);
   static std::optional<Artifact> load(const std::string& path);
 };

@@ -74,7 +74,12 @@ void diff_points(const Artifact& base, const Artifact& cur,
                                             it->second->metrics.end());
     for (const auto& [name, bstat] : bp.metrics) {
       const auto mit = cur_metrics.find(name);
-      if (mit == cur_metrics.end()) continue;
+      if (mit == cur_metrics.end()) {
+        out.findings.push_back({FindingKind::kResultDrift, base.bench,
+                                name + "@{" + key + "}", bstat.mean, 0.0, 0.0,
+                                0.0, "metric missing from current run"});
+        continue;
+      }
       ++out.point_metrics_compared;
       const double a = bstat.mean, b = mit->second.mean;
       const double scale = std::max(std::fabs(a), std::fabs(b));

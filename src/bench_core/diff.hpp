@@ -7,8 +7,10 @@
 //    stddev of the two runs' repeat samples — a 2x slowdown flags, a 3%
 //    wobble inside the noise floor does not;
 //  - the deterministic points block must match exactly (within a float
-//    round-off tolerance): any drift means the simulation's results
-//    changed, which is a finding of its own (kResultDrift), not noise.
+//    round-off tolerance): any drift, and any baseline point or metric the
+//    current run lacks, means the simulation's results changed, which is a
+//    finding of its own (kResultDrift), not noise. A metric only the
+//    current run has is not flagged, as a new bench is not.
 #pragma once
 
 #include <string>

@@ -89,14 +89,7 @@ Artifact run_bench(const BenchInfo& info, const RunBenchOptions& options) {
       artifact.alloc_count = delta.alloc_count;
       artifact.alloc_bytes = delta.alloc_bytes;
       artifact.peak_rss_kb = obs::peak_rss_kb();
-      if (options.profile) {
-        for (std::size_t k = 0; k < obs::kProfKeyCount; ++k) {
-          const auto key = static_cast<obs::ProfKey>(k);
-          const auto& s = delta.section(key);
-          artifact.sections.push_back(
-              {obs::to_string(key), s.calls, s.total_ns});
-        }
-      }
+      if (options.profile) artifact.sections = delta.named_sections();
     }
   }
   if (options.profile && !profiler_was_on) obs::profiler().enable(false);

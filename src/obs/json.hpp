@@ -42,7 +42,7 @@ class JsonWriter {
     pop();
   }
 
-  void key(const std::string& k) {
+  void key(std::string_view k) {
     comma();
     append_string(k);
     out_ += ':';
@@ -80,12 +80,6 @@ class JsonWriter {
   void value(bool v) {
     comma();
     out_ += v ? "true" : "false";
-  }
-
-  /// Embed pre-serialized JSON (e.g. a nested RunReport) as one value.
-  void raw(const std::string& json) {
-    comma();
-    out_ += json;
   }
 
   const std::string& str() const noexcept { return out_; }

@@ -49,8 +49,8 @@ class Parser {
     if (pos_ >= text_.size()) return std::nullopt;
     JsonValue v;
     switch (text_[pos_]) {
-      case '{': return object();
-      case '[': return array();
+      case '{': return nested(&Parser::object);
+      case '[': return nested(&Parser::array);
       case '"': {
         auto s = string();
         if (!s) return std::nullopt;
@@ -227,8 +227,22 @@ class Parser {
     }
   }
 
+  /// Containers recurse, so a hostile document of deeply nested brackets
+  /// would exhaust the stack; no artifact nests anywhere near this deep.
+  std::optional<JsonValue> nested(
+      std::optional<JsonValue> (Parser::*parse)()) {
+    if (depth_ == kMaxDepth) return std::nullopt;
+    ++depth_;
+    auto v = (this->*parse)();
+    --depth_;
+    return v;
+  }
+
+  static constexpr int kMaxDepth = 256;
+
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace
@@ -249,18 +263,15 @@ double JsonValue::num_or(std::string_view key, double fallback) const noexcept {
 std::int64_t JsonValue::int_or(std::string_view key,
                                std::int64_t fallback) const noexcept {
   const JsonValue* v = find(key);
-  if (v == nullptr || !v->is_number()) return fallback;
-  return v->integral ? v->integer : static_cast<std::int64_t>(v->number);
+  if (v == nullptr) return fallback;
+  return v->to_int<std::int64_t>().value_or(fallback);
 }
 
 std::uint64_t JsonValue::uint_or(std::string_view key,
                                  std::uint64_t fallback) const noexcept {
   const JsonValue* v = find(key);
-  if (v == nullptr || !v->is_number()) return fallback;
-  if (v->integral) {
-    return v->integer < 0 ? fallback : v->uinteger;
-  }
-  return v->number < 0.0 ? fallback : static_cast<std::uint64_t>(v->number);
+  if (v == nullptr) return fallback;
+  return v->to_int<std::uint64_t>().value_or(fallback);
 }
 
 bool JsonValue::bool_or(std::string_view key, bool fallback) const noexcept {

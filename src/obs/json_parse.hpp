@@ -39,7 +39,23 @@ class JsonValue {
   /// Object member lookup; nullptr when absent or not an object.
   const JsonValue* find(std::string_view key) const noexcept;
 
-  /// Convenience accessors with fallbacks, for terse artifact loading.
+  /// This value as integer type T: an integer token (no fraction, no
+  /// exponent) whose value T can hold; nullopt for anything else.
+  template <typename T>
+  std::optional<T> to_int() const noexcept {
+    if (!integral) return std::nullopt;
+    // A negative token is exact in `integer`, a non-negative one in
+    // `uinteger`.
+    if (integer < 0) {
+      if (!std::in_range<T>(integer)) return std::nullopt;
+      return static_cast<T>(integer);
+    }
+    if (!std::in_range<T>(uinteger)) return std::nullopt;
+    return static_cast<T>(uinteger);
+  }
+
+  /// Convenience accessors with fallbacks. int_or and uint_or answer the
+  /// fallback for a number to_int() rejects.
   double num_or(std::string_view key, double fallback = 0.0) const noexcept;
   std::int64_t int_or(std::string_view key,
                       std::int64_t fallback = 0) const noexcept;
@@ -50,7 +66,8 @@ class JsonValue {
 };
 
 /// Parse `text` as one JSON document (trailing whitespace allowed).
-/// Returns nullopt on any syntax error.
+/// Returns nullopt on any syntax error and on containers nested more than
+/// 256 deep.
 std::optional<JsonValue> parse_json(std::string_view text);
 
 }  // namespace ks::obs

@@ -60,6 +60,15 @@ Profiler::Snapshot Profiler::Snapshot::since(
   return d;
 }
 
+std::vector<ProfileSection> Profiler::Snapshot::named_sections() const {
+  std::vector<ProfileSection> out;
+  for (std::size_t i = 0; i < kProfKeyCount; ++i) {
+    out.push_back({to_string(static_cast<ProfKey>(i)), sections[i].calls,
+                   sections[i].total_ns});
+  }
+  return out;
+}
+
 void Profiler::reset() noexcept {
   sections_.fill(Section{});
   g_alloc_count.store(0, std::memory_order_relaxed);

@@ -26,6 +26,8 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <string>
+#include <vector>
 
 namespace ks::obs {
 
@@ -44,6 +46,21 @@ inline constexpr std::size_t kProfKeyCount =
     static_cast<std::size_t>(ProfKey::kCount);
 
 const char* to_string(ProfKey k) noexcept;
+
+/// One hot path's totals under its to_string(ProfKey) name: an entry of a
+/// RunReport's perf section and of a bench artifact's profile block.
+struct ProfileSection {
+  std::string name;
+  std::uint64_t calls = 0;
+  std::uint64_t total_ns = 0;
+};
+
+template <class V>
+void fields(V& v, ProfileSection& s) {
+  v("name", s.name);
+  v("calls", s.calls);
+  v("total_ns", s.total_ns);
+}
 
 class Profiler {
  public:
@@ -64,6 +81,8 @@ class Profiler {
     }
     /// this - start, per section and per allocation counter.
     Snapshot since(const Snapshot& start) const noexcept;
+    /// Every section, in ProfKey order, with its name.
+    std::vector<ProfileSection> named_sections() const;
   };
 
   bool enabled() const noexcept { return enabled_; }

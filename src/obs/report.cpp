@@ -4,8 +4,9 @@
 #include <cstdio>
 #include <stdexcept>
 
-#include "obs/json.hpp"
+#include "obs/json_fields.hpp"
 #include "obs/profiler.hpp"
+#include "obs/report_parse.hpp"
 
 namespace ks::obs {
 
@@ -25,334 +26,212 @@ double RunReport::metric(const std::string& name) const {
   return sum;
 }
 
-namespace {
+// The report's JSON form: one field list per record, walked by both
+// to_json() and report_from_json() (obs/json_fields.hpp).
 
-/// Serializer behind to_json() and canonical_json(). The canonical form
-/// skips wall-clock metrics and series and the whole perf section (key and
-/// all). Enum fields are written by name here, and only here.
-std::string report_json(const RunReport& r, bool canonical) {
-  JsonWriter w;
-  w.begin_object();
-
-  w.key("summary");
-  w.begin_object();
-  for (const auto& [k, v] : r.summary) {
-    w.key(k);
-    w.value(v);
-  }
-  w.end_object();
-
-  w.key("metrics");
-  w.begin_array();
-  for (const auto& m : r.metrics) {
-    if (canonical && is_wall_clock_metric(m.name)) continue;
-    w.begin_object();
-    w.key("name");
-    w.value(m.name);
-    if (!m.labels.empty()) {
-      w.key("labels");
-      w.value(m.labels);
-    }
-    w.key("kind");
-    w.value(to_string(m.kind));
-    w.key("value");
-    w.value(m.value);
-    w.end_object();
-  }
-  w.end_array();
-
-  w.key("histograms");
-  w.begin_array();
-  for (const auto& h : r.histograms) {
-    w.begin_object();
-    w.key("name");
-    w.value(h.name);
-    if (!h.labels.empty()) {
-      w.key("labels");
-      w.value(h.labels);
-    }
-    w.key("count");
-    w.value(h.count);
-    w.key("mean_us");
-    w.value(h.mean_us);
-    w.key("p50_us");
-    w.value(h.p50_us);
-    w.key("p99_us");
-    w.value(h.p99_us);
-    w.key("max_us");
-    w.value(h.max_us);
-    w.end_object();
-  }
-  w.end_array();
-
-  w.key("series");
-  w.begin_array();
-  for (const auto& s : r.series) {
-    if (canonical && is_wall_clock_metric(s.name)) continue;
-    w.begin_object();
-    w.key("name");
-    w.value(s.name);
-    w.key("kind");
-    w.value(to_string(s.kind));
-    w.key("t_us");
-    w.begin_array();
-    for (const auto t : s.t) w.value(static_cast<std::int64_t>(t));
-    w.end_array();
-    w.key("v");
-    w.begin_array();
-    for (const auto v : s.v) w.value(v);
-    w.end_array();
-    w.end_object();
-  }
-  w.end_array();
-
-  w.key("trace");
-  w.begin_object();
-  w.key("sample_every");
-  w.value(r.trace_sample_every);
-  w.key("dropped");
-  w.value(r.trace_dropped);
-  w.key("events");
-  w.begin_array();
-  for (const auto& e : r.trace) {
-    w.begin_object();
-    w.key("t_us");
-    w.value(static_cast<std::int64_t>(e.t));
-    w.key("key");
-    w.value(e.key);
-    w.key("event");
-    w.value(to_string(e.event));
-    w.key("detail");
-    w.value(e.detail);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-
-  w.key("spans");
-  w.begin_object();
-  w.key("sample_every");
-  w.value(r.span_sample_every);
-  w.key("dropped");
-  w.value(r.spans_dropped);
-  w.key("events");
-  w.begin_array();
-  for (const auto& s : r.spans) {
-    w.begin_object();
-    w.key("id");
-    w.value(s.id);
-    w.key("parent");
-    w.value(s.parent);
-    w.key("key");
-    w.value(s.key);
-    w.key("kind");
-    w.value(to_string(s.kind));
-    w.key("track");
-    w.value(s.track);
-    w.key("detail");
-    w.value(s.detail);
-    w.key("begin_us");
-    w.value(static_cast<std::int64_t>(s.begin));
-    w.key("end_us");
-    w.value(static_cast<std::int64_t>(s.end));
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-
-  w.key("timeline");
-  w.begin_object();
-  w.key("dropped");
-  w.value(r.timeline_dropped);
-  w.key("events");
-  w.begin_array();
-  for (const auto& e : r.timeline) {
-    w.begin_object();
-    w.key("t_us");
-    w.value(static_cast<std::int64_t>(e.t));
-    w.key("kind");
-    w.value(to_string(e.kind));
-    w.key("broker");
-    w.value(e.broker);
-    w.key("partition");
-    w.value(e.partition);
-    w.key("a");
-    w.value(e.a);
-    w.key("b");
-    w.value(e.b);
-    if (!e.note.empty()) {
-      w.key("note");
-      w.value(e.note);
-    }
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-
-  w.key("anomalies");
-  w.begin_object();
-  w.key("acked_lost_keys");
-  w.begin_array();
-  for (const auto k : r.acked_lost_keys) w.value(k);
-  w.end_array();
-  w.key("lost_keys");
-  w.begin_array();
-  for (const auto k : r.lost_keys) w.value(k);
-  w.end_array();
-  w.key("group_lost_keys");
-  w.begin_array();
-  for (const auto k : r.group_lost_keys) w.value(k);
-  w.end_array();
-  w.end_object();
-
-  w.key("health");
-  w.begin_object();
-  w.key("enabled");
-  w.value(r.health.enabled);
-  w.key("interval_us");
-  w.value(r.health.interval_us);
-  w.key("ticks");
-  w.value(r.health.ticks);
-  w.key("series");
-  w.begin_array();
-  for (const auto& s : r.health.series) {
-    w.begin_object();
-    w.key("name");
-    w.value(s.name);
-    w.key("interval_us");
-    w.value(s.interval_us);
-    w.key("dropped");
-    w.value(s.dropped);
-    w.key("t_us");
-    w.begin_array();
-    for (const auto t : s.t) w.value(t);
-    w.end_array();
-    w.key("count");
-    w.begin_array();
-    for (const auto c : s.count) w.value(c);
-    w.end_array();
-    w.key("min");
-    w.begin_array();
-    for (const auto v : s.min) w.value(v);
-    w.end_array();
-    w.key("max");
-    w.begin_array();
-    for (const auto v : s.max) w.value(v);
-    w.end_array();
-    w.key("sum");
-    w.begin_array();
-    for (const auto v : s.sum) w.value(v);
-    w.end_array();
-    w.end_object();
-  }
-  w.end_array();
-  w.key("sketches");
-  w.begin_array();
-  for (const auto& s : r.health.sketches) {
-    w.begin_object();
-    w.key("name");
-    w.value(s.name);
-    w.key("count");
-    w.value(s.count);
-    w.key("buckets");
-    w.begin_array();
-    for (const auto b : s.buckets) w.value(b);
-    w.end_array();
-    w.end_object();
-  }
-  w.end_array();
-  w.key("alerts");
-  w.begin_array();
-  for (const auto& a : r.health.alerts) {
-    w.begin_object();
-    w.key("detector");
-    w.value(to_string(a.detector));
-    w.key("partition");
-    w.value(a.partition);
-    w.key("broker");
-    w.value(a.broker);
-    w.key("opened_us");
-    w.value(static_cast<std::int64_t>(a.opened));
-    w.key("resolved_us");
-    w.value(static_cast<std::int64_t>(a.resolved));
-    w.key("windows");
-    w.value(a.windows_to_detect);
-    w.end_object();
-  }
-  w.end_array();
-  w.key("verdicts");
-  w.begin_array();
-  for (const auto& v : r.health.verdicts) {
-    w.begin_object();
-    w.key("partition");
-    w.value(v.partition);
-    w.key("verdict");
-    w.value(to_string(v.verdict));
-    w.key("worst");
-    w.value(to_string(v.worst));
-    w.key("lag");
-    w.value(v.lag);
-    w.key("committed");
-    w.value(v.committed);
-    w.key("hw");
-    w.value(v.hw);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-
-  if (!canonical) {
-    w.key("perf");
-    w.begin_object();
-    w.key("wall_us");
-    w.value(r.perf.wall_us);
-    w.key("peak_rss_kb");
-    w.value(r.perf.peak_rss_kb);
-    w.key("profiled");
-    w.value(r.perf.profiled);
-    w.key("alloc_count");
-    w.value(r.perf.alloc_count);
-    w.key("alloc_bytes");
-    w.value(r.perf.alloc_bytes);
-    w.key("sections");
-    w.begin_array();
-    for (const auto& s : r.perf.sections) {
-      w.begin_object();
-      w.key("name");
-      w.value(s.name);
-      w.key("calls");
-      w.value(s.calls);
-      w.key("total_ns");
-      w.value(s.total_ns);
-      w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-  }
-
-  w.end_object();
-  return w.str();
+template <class V>
+void fields(V& v, RunReport::Metric& m) {
+  v("name", m.name);
+  v.optional("labels", m.labels);
+  v("kind", m.kind);
+  v("value", m.value);
 }
 
-}  // namespace
+template <class V>
+void fields(V& v, RunReport::HistogramSummary& h) {
+  v("name", h.name);
+  v.optional("labels", h.labels);
+  v("count", h.count);
+  v("mean_us", h.mean_us);
+  v("p50_us", h.p50_us);
+  v("p99_us", h.p99_us);
+  v("max_us", h.max_us);
+}
+
+template <class V>
+void fields(V& v, Sampler::Series& s) {
+  v("name", s.name);
+  v("kind", s.kind);
+  v("t_us", s.t);
+  v("v", s.v);
+}
+
+template <class V>
+void fields(V& v, MessageTrace::Entry& e) {
+  v("t_us", e.t);
+  v("key", e.key);
+  v("event", e.event);
+  v("detail", e.detail);
+}
+
+template <class V>
+void fields(V& v, Span& s) {
+  v("id", s.id);
+  v("parent", s.parent);
+  v("key", s.key);
+  v("kind", s.kind);
+  v("track", s.track);
+  v("detail", s.detail);
+  v("begin_us", s.begin);
+  v("end_us", s.end);
+}
+
+template <class V>
+void fields(V& v, ClusterEvent& e) {
+  v("t_us", e.t);
+  v("kind", e.kind);
+  v("broker", e.broker);
+  v("partition", e.partition);
+  v("a", e.a);
+  v("b", e.b);
+  v.optional("note", e.note);
+}
+
+template <class V>
+void fields(V& v, HealthReport::Series& s) {
+  v("name", s.name);
+  v("interval_us", s.interval_us);
+  v("dropped", s.dropped);
+  v("t_us", s.t);
+  v("count", s.count);
+  v("min", s.min);
+  v("max", s.max);
+  v("sum", s.sum);
+}
+
+template <class V>
+void fields(V& v, HealthReport::Sketch& s) {
+  v("name", s.name);
+  v("count", s.count);
+  v("buckets", s.buckets);
+}
+
+template <class V>
+void fields(V& v, HealthAlert& a) {
+  v("detector", a.detector);
+  v("partition", a.partition);
+  v("broker", a.broker);
+  v("opened_us", a.opened);
+  v("resolved_us", a.resolved);
+  v("windows", a.windows_to_detect);
+}
+
+template <class V>
+void fields(V& v, HealthReport::Verdict& d) {
+  v("partition", d.partition);
+  v("verdict", d.verdict);
+  v("worst", d.worst);
+  v("lag", d.lag);
+  v("committed", d.committed);
+  v("hw", d.hw);
+}
+
+template <class V>
+void fields(V& v, HealthReport& h) {
+  v("enabled", h.enabled);
+  v("interval_us", h.interval_us);
+  v("ticks", h.ticks);
+  v("series", h.series);
+  v("sketches", h.sketches);
+  v("alerts", h.alerts);
+  v("verdicts", h.verdicts);
+}
+
+template <class V>
+void fields(V& v, RunReport::Perf& p) {
+  v("wall_us", p.wall_us);
+  v("peak_rss_kb", p.peak_rss_kb);
+  v("profiled", p.profiled);
+  v("alloc_count", p.alloc_count);
+  v("alloc_bytes", p.alloc_bytes);
+  v("sections", p.sections);
+}
+
+/// The canonical form leaves out the host-dependent parts: wall-clock
+/// metrics and their series, and the whole perf section, key and all.
+template <class V>
+void fields(V& v, RunReport& r) {
+  const auto host = [&v](const auto& m) {
+    return v.canonical && is_wall_clock_metric(m.name);
+  };
+  v("summary", r.summary);
+  v("metrics", r.metrics, host);
+  v("histograms", r.histograms);
+  v("series", r.series, host);
+  v.object("trace", [&] {
+    v("sample_every", r.trace_sample_every);
+    v("dropped", r.trace_dropped);
+    v("events", r.trace);
+  });
+  v.object("spans", [&] {
+    v("sample_every", r.span_sample_every);
+    v("dropped", r.spans_dropped);
+    v("events", r.spans);
+  });
+  v.object("timeline", [&] {
+    v("dropped", r.timeline_dropped);
+    v("events", r.timeline);
+  });
+  v.object("anomalies", [&] {
+    v("acked_lost_keys", r.acked_lost_keys);
+    v("lost_keys", r.lost_keys);
+    v("group_lost_keys", r.group_lost_keys);
+  });
+  v("health", r.health);
+  if (!v.canonical) v("perf", r.perf);
+}
 
 bool is_wall_clock_metric(const std::string& name) noexcept {
   return name.rfind("sim_wall", 0) == 0;
 }
 
-std::string RunReport::to_json() const { return report_json(*this, false); }
+std::string RunReport::to_json() const { return encode_json(*this); }
 
 std::string RunReport::canonical_json() const {
-  return report_json(*this, true);
+  return encode_json(*this, /*canonical=*/true);
 }
 
 bool RunReport::write_json(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string json = to_json();
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  std::fclose(f);
-  return ok;
+  return write_file(path, to_json());
+}
+
+namespace {
+
+/// True when `buckets` has one count per sketch bucket and they sum to
+/// `count` (checked without overflow).
+bool sketch_consistent(const std::vector<std::uint64_t>& buckets,
+                       std::uint64_t count) {
+  if (buckets.size() != kLatencySketchBuckets) return false;
+  std::uint64_t sum = 0;
+  for (const auto b : buckets) {
+    if (b > count - sum) return false;
+    sum += b;
+  }
+  return sum == count;
+}
+
+}  // namespace
+
+std::optional<RunReport> report_from_json(std::string_view text) {
+  RunReport report;
+  if (!decode_json(text, report)) return std::nullopt;
+  for (const auto& s : report.health.series) {
+    const std::size_t n = s.t.size();
+    if (s.count.size() != n || s.min.size() != n || s.max.size() != n ||
+        s.sum.size() != n) {
+      return std::nullopt;
+    }
+  }
+  for (const auto& s : report.health.sketches) {
+    if (!sketch_consistent(s.buckets, s.count)) return std::nullopt;
+  }
+  return report;
+}
+
+std::optional<RunReport> load_run_report(const std::string& path) {
+  const auto text = read_file(path);
+  if (!text) return std::nullopt;
+  return report_from_json(*text);
 }
 
 namespace {
@@ -476,12 +355,7 @@ std::string RunReport::perfetto_json() const {
 }
 
 bool RunReport::write_perfetto(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string json = perfetto_json();
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  std::fclose(f);
-  return ok;
+  return write_file(path, perfetto_json());
 }
 
 RunReport build_run_report(const MetricsRegistry& registry,

@@ -10,6 +10,7 @@
 #include "common/types.hpp"
 #include "obs/health.hpp"
 #include "obs/metrics.hpp"
+#include "obs/profiler.hpp"
 #include "obs/sampler.hpp"
 #include "obs/span.hpp"
 #include "obs/timeline.hpp"
@@ -21,7 +22,8 @@ namespace ks::obs {
 /// summary scalars, the final value of every registered metric, histogram
 /// summaries, and each recorder's own records (sampled series, the
 /// message-lifecycle trace, spans, the cluster timeline, the health
-/// section). Enum-typed fields become names only in the JSON writers.
+/// section). Enum-typed fields become names only in the JSON field lists
+/// (report.cpp).
 struct RunReport {
   struct Metric {
     std::string name;
@@ -51,13 +53,8 @@ struct RunReport {
     bool profiled = false;           ///< Self-profiler was enabled.
     std::uint64_t alloc_count = 0;   ///< operator new calls during the run.
     std::uint64_t alloc_bytes = 0;
-    struct Section {
-      std::string name;
-      std::uint64_t calls = 0;
-      std::uint64_t total_ns = 0;
-    };
     /// Hot-path breakdown, profiler key order; empty when not profiled.
-    std::vector<Section> sections;
+    std::vector<ProfileSection> sections;
   };
 
   /// Run-level scalars (p_loss, duration_s, ...), keyed by name; insertion

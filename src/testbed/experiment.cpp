@@ -1071,14 +1071,7 @@ ExperimentResult write_report(Testbed& tb,
   perf.profiled = obs::profiler().enabled();
   perf.alloc_count = prof_delta.alloc_count;
   perf.alloc_bytes = prof_delta.alloc_bytes;
-  if (perf.profiled) {
-    for (std::size_t i = 0; i < obs::kProfKeyCount; ++i) {
-      const auto key = static_cast<obs::ProfKey>(i);
-      const auto& sec = prof_delta.section(key);
-      perf.sections.push_back(obs::RunReport::Perf::Section{
-          to_string(key), sec.calls, sec.total_ns});
-    }
-  }
+  if (perf.profiled) perf.sections = prof_delta.named_sections();
   return std::move(r);
 }
 

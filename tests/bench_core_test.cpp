@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -12,6 +14,7 @@
 #include "bench_core/diff.hpp"
 #include "bench_core/registry.hpp"
 #include "bench_core/run_bench.hpp"
+#include "obs/json_fields.hpp"
 #include "obs/profiler.hpp"
 
 namespace ks::bench {
@@ -122,6 +125,61 @@ TEST(RunBench, ArtifactParseRejectsWrongSchema) {
   EXPECT_EQ(artifact_filename("fig4"), "BENCH_fig4.json");
 }
 
+TEST(RunBench, CommittedBaselinesReserializeByteExact) {
+  int baselines = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(KS_BASELINES_DIR)) {
+    const std::string path = entry.path().string();
+    const auto text = obs::read_file(path);
+    ASSERT_TRUE(text.has_value()) << path;
+    const auto artifact = Artifact::load(path);
+    ASSERT_TRUE(artifact.has_value()) << path;
+    EXPECT_EQ(artifact->to_json(), *text) << path;
+    ++baselines;
+  }
+  EXPECT_GT(baselines, 0);
+}
+
+/// `format` with its one %s replaced by `value`.
+std::string with_value(const char* format, const char* value) {
+  char buf[256];
+  std::snprintf(buf, sizeof(buf), format, value);
+  return buf;
+}
+
+TEST(RunBench, ArtifactParseRejectsIntegersTheirFieldCannotHold) {
+  // Each document parses with an in-range integer, so each rejection below
+  // is the number's doing.
+  const auto parses = [](const std::string& json) {
+    return Artifact::parse(json).has_value();
+  };
+  const char* events =
+      R"({"schema_version":2,"bench":"x","timing":{"sim_events":%s}})";
+  EXPECT_TRUE(parses(with_value(events, "18446744073709551615")));
+  EXPECT_FALSE(parses(with_value(events, "1e300")));
+  EXPECT_FALSE(parses(with_value(events, "99999999999999999999999")));
+  EXPECT_FALSE(parses(with_value(events, "1.5")));
+  EXPECT_FALSE(parses(with_value(events, "-1")));
+  const char* repeat =
+      R"({"schema_version":2,"bench":"x","config":{"repeat":%s}})";
+  EXPECT_TRUE(parses(with_value(repeat, "2147483647")));
+  EXPECT_FALSE(parses(with_value(repeat, "3000000000")));
+  EXPECT_FALSE(parses(R"({"schema_version":2.5,"bench":"x"})"));
+}
+
+TEST(RunBench, ArtifactWriteReportsAFullDisk) {
+  if (std::FILE* f = std::fopen("/dev/full", "w")) {
+    std::fclose(f);
+  } else {
+    GTEST_SKIP() << "no /dev/full";
+  }
+  // Smaller than a 4 KiB stdio buffer, so only fclose sees the failure.
+  Artifact a;
+  a.bench = "tiny";
+  ASSERT_LT(a.to_json().size(), 4096u);
+  EXPECT_FALSE(a.write("/dev/full"));
+}
+
 /// Synthetic artifact with a controllable timing profile: repeat samples
 /// at +/-2% around `wall_mean`, one grid point.
 Artifact make_artifact(const std::string& name, double wall_mean) {
@@ -197,6 +255,21 @@ TEST(Diff, DeterministicPointDriftIsAFindingAtAnyMagnitude) {
   ASSERT_EQ(report.findings.size(), 1u);
   EXPECT_EQ(report.findings[0].kind, FindingKind::kResultDrift);
   EXPECT_TRUE(report.has_regressions());
+}
+
+TEST(Diff, MissingPointMetricFailsAndNewMetricDoesNot) {
+  const auto base = make_artifact("b1", 1.0);
+  auto dropped = base;
+  dropped.points[0].metrics.clear();
+  const auto missing = diff_artifacts({base}, {dropped});
+  ASSERT_EQ(missing.findings.size(), 1u);
+  EXPECT_EQ(missing.findings[0].kind, FindingKind::kResultDrift);
+  EXPECT_EQ(missing.findings[0].detail, "metric missing from current run");
+  EXPECT_TRUE(missing.has_regressions(/*warn_only=*/true));
+
+  auto added = base;
+  added.points[0].metrics.push_back({"p_new", Stat{1.0, 0.0}});
+  EXPECT_TRUE(diff_artifacts({base}, {added}).findings.empty());
 }
 
 TEST(Diff, MissingBenchFailsAndNewBenchDoesNot) {

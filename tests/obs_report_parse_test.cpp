@@ -1,14 +1,22 @@
 // The full RunReport JSON parser (obs/report_parse.hpp) must be an exact
 // inverse of RunReport::to_json(): parse-then-serialize is byte-identical,
 // including uint64 values above 2^53 (span ids, the kNoKey sentinel) that
-// a double-only number representation would corrupt.
+// a double-only number representation would corrupt. Hostile input — and,
+// in the mutation test, hostile bench artifacts too — must be rejected or
+// read to a fixed point, never crash.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <filesystem>
+#include <iterator>
 #include <limits>
 #include <set>
 #include <string>
+#include <vector>
 
+#include "bench_core/artifact.hpp"
+#include "common/rng.hpp"
 #include "obs/json_parse.hpp"
 #include "obs/profiler.hpp"
 #include "obs/report.hpp"
@@ -107,7 +115,73 @@ RunReport make_full_report() {
   report.perf.alloc_bytes = (1ull << 54) + 99;
   report.perf.sections.push_back({"sim.event_dispatch", 99019, 46411254});
   report.perf.sections.push_back({"tcp.segment", 39995, 7000000});
+  auto& health = report.health;
+  health.enabled = true;
+  health.interval_us = 60000;
+  health.ticks = 7;
+  HealthReport::Series lag;
+  lag.name = "group_lag_p0";
+  lag.interval_us = 60000;
+  lag.dropped = 1;
+  lag.t = {0, 120000};
+  lag.count = {2, 1};
+  lag.min = {-1.5, 0.0};
+  lag.max = {4.0, 0.25};
+  lag.sum = {2.5, 0.25};
+  health.series.push_back(lag);
+  HealthReport::Sketch sketch;
+  sketch.name = "e2e_ack_to_deliver_us";
+  sketch.count = 3;
+  sketch.buckets.assign(kLatencySketchBuckets, 0);
+  sketch.buckets[0] = 1;
+  sketch.buckets[kLatencySketchBuckets - 1] = 2;
+  health.sketches.push_back(sketch);
+  health.alerts.push_back(
+      {HealthDetector::kLagStall, 0, -1, 240000, -1, 4});
+  health.alerts.push_back(
+      {HealthDetector::kUnderReplicated, 1, 2, 300000, 420000, 3});
+  health.verdicts.push_back(
+      {0, LagVerdict::kStall, LagVerdict::kStop, 12, 40, 52});
   return report;
+}
+
+/// make_full_report().to_json(), as the hand-written writer of an earlier
+/// version produced it: the field lists must keep every byte.
+const char* const kFullReportJson =
+      R"({"summary":{"duration_s":18,"p_loss":0.012345678901234501},"metric)"
+      R"(s":[{"name":"acked_total","kind":"counter","value":500},{"name":"i)"
+      R"(nflight","labels":"conn=\"prod:client\"","kind":"gauge","value":3})"
+      R"(],"histograms":[{"name":"latency_us","labels":"stage=\"e2e\"","cou)"
+      R"(nt":499,"mean_us":1234.5,"p50_us":1100,"p99_us":4000,"max_us":9000)"
+      R"(}],"series":[{"name":"acked_total","kind":"counter","t_us":[100000)"
+      R"(,200000],"v":[10,20]}],"trace":{"sample_every":10,"dropped":2,"eve)"
+      R"(nts":[{"t_us":150000,"key":40,"event":"send_attempt","detail":0},{)"
+      R"("t_us":160000,"key":40,"event":"appended","detail":1}]},"spans":{")"
+      R"(sample_every":1,"dropped":0,"events":[{"id":1152921504606846983,"p)"
+      R"(arent":0,"key":18446744073709551615,"kind":"broker.fetch","track":)"
+      R"(0,"detail":-5,"begin_us":100,"end_us":900},{"id":2,"parent":1,"key)"
+      R"(":40,"kind":"produce.batch","track":1,"detail":0,"begin_us":150,"e)"
+      R"(nd_us":450}]},"timeline":{"dropped":1,"events":[{"t_us":120000,"ki)"
+      R"(nd":"leader_elected","broker":2,"partition":0,"a":-1,"b":7,"note":)"
+      R"("isr shrank"},{"t_us":130000,"kind":"isr_shrink","broker":1,"parti)"
+      R"(tion":0,"a":3,"b":2}]},"anomalies":{"acked_lost_keys":[41,36028797)"
+      R"(018963971],"lost_keys":[44],"group_lost_keys":[]},"health":{"enabl)"
+      R"(ed":true,"interval_us":60000,"ticks":7,"series":[{"name":"group_la)"
+      R"(g_p0","interval_us":60000,"dropped":1,"t_us":[0,120000],"count":[2)"
+      R"(,1],"min":[-1.5,0],"max":[4,0.25],"sum":[2.5,0.25]}],"sketches":[{)"
+      R"("name":"e2e_ack_to_deliver_us","count":3,"buckets":[1,0,0,0,0,0,0,)"
+      R"(0,0,0,0,0,0,0,0,2]}],"alerts":[{"detector":"lag_stall","partition")"
+      R"(:0,"broker":-1,"opened_us":240000,"resolved_us":-1,"windows":4},{")"
+      R"(detector":"under_replicated","partition":1,"broker":2,"opened_us":)"
+      R"(300000,"resolved_us":420000,"windows":3}],"verdicts":[{"partition")"
+      R"(:0,"verdict":"STALL","worst":"STOP","lag":12,"committed":40,"hw":5)"
+      R"(2}]},"perf":{"wall_us":123456,"peak_rss_kb":5652,"profiled":true,")"
+      R"(alloc_count":288307,"alloc_bytes":18014398509482083,"sections":[{")"
+      R"(name":"sim.event_dispatch","calls":99019,"total_ns":46411254},{"na)"
+      R"(me":"tcp.segment","calls":39995,"total_ns":7000000}]}})";
+
+TEST(ReportParse, FullReportKeepsItsPinnedBytes) {
+  EXPECT_EQ(make_full_report().to_json(), kFullReportJson);
 }
 
 TEST(ReportParse, HandBuiltReportRoundTripsByteExact) {
@@ -298,6 +372,147 @@ TEST(ReportParse, LoadRunReportReadsWhatWriteJsonWrote) {
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->to_json(), report.to_json());
   EXPECT_FALSE(load_run_report(path + ".missing").has_value());
+}
+
+TEST(ReportParse, RejectsIntegersTheirFieldCannotHold) {
+  // Each document parses with an in-range integer, so each rejection below
+  // is the number's doing.
+  const char* t_us =
+      R"({"trace":{"events":[{"t_us":%s,"event":"appended"}]}})";
+  EXPECT_TRUE(parses(with_name(t_us, "-9223372036854775808")));
+  EXPECT_FALSE(parses(with_name(t_us, "1e300")));
+  EXPECT_FALSE(parses(with_name(t_us, "99999999999999999999999")));
+  EXPECT_FALSE(parses(with_name(t_us, "1.5")));
+  EXPECT_FALSE(parses(with_name(t_us, "1e3")));
+  const char* key = R"({"anomalies":{"lost_keys":[%s]}})";
+  EXPECT_TRUE(parses(with_name(key, "18446744073709551615")));
+  EXPECT_FALSE(parses(with_name(key, "-1")));
+  const char* broker =
+      R"({"timeline":{"events":[{"kind":"isr_shrink","broker":%s}]}})";
+  EXPECT_TRUE(parses(with_name(broker, "2147483647")));
+  EXPECT_FALSE(parses(with_name(broker, "3000000000")));
+  // A value of another JSON type leaves the field at its default.
+  const auto null_time = report_from_json(with_name(t_us, "null"));
+  ASSERT_TRUE(null_time.has_value());
+  EXPECT_EQ(null_time->trace.at(0).t, 0);
+}
+
+TEST(ReportParse, RejectsDeepNestingWithoutExhaustingTheStack) {
+  const auto nested = [](int depth) {
+    return R"({"summary":)" + std::string(depth, '[') +
+           std::string(depth, ']') + "}";
+  };
+  EXPECT_TRUE(parses(nested(200)));
+  // 300,000 brackets overflowed the recursive reader's stack.
+  EXPECT_FALSE(parses(nested(300000)));
+  EXPECT_FALSE(bench::Artifact::parse(nested(300000)).has_value());
+}
+
+TEST(ReportParse, IntAccessorsFallBackWhenTheNumberDoesNotFit) {
+  const auto doc = parse_json(
+      R"({"huge":1e300,"frac":1.5,"neg":-1,"wide":99999999999999999999999,)"
+      R"("ok":42})");
+  ASSERT_TRUE(doc.has_value());
+  EXPECT_EQ(doc->int_or("huge", 7), 7);
+  EXPECT_EQ(doc->int_or("frac", 7), 7);
+  EXPECT_EQ(doc->int_or("wide", 7), 7);
+  EXPECT_EQ(doc->uint_or("huge", 7), 7u);
+  EXPECT_EQ(doc->uint_or("neg", 7), 7u);
+  EXPECT_EQ(doc->int_or("neg", 7), -1);
+  EXPECT_EQ(doc->uint_or("ok", 7), 42u);
+}
+
+TEST(ReportParse, WritersReportAFullDisk) {
+  if (std::FILE* f = std::fopen("/dev/full", "w")) {
+    std::fclose(f);
+  } else {
+    GTEST_SKIP() << "no /dev/full";
+  }
+  // Each document is smaller than a 4 KiB stdio buffer, so only fclose
+  // sees the failed write.
+  const RunReport report = make_full_report();
+  ASSERT_LT(report.to_json().size(), 4096u);
+  ASSERT_LT(report.perfetto_json().size(), 4096u);
+  EXPECT_FALSE(report.write_json("/dev/full"));
+  EXPECT_FALSE(report.write_perfetto("/dev/full"));
+}
+
+/// A uniform index below `n` (n > 0).
+std::size_t below(Rng& rng, std::size_t n) {
+  return static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+}
+
+/// One mutant of `doc`: a flipped bit, a deleted run of bytes, a
+/// truncation, or a number token swapped for a hostile value.
+std::string mutate(const std::string& doc, Rng& rng) {
+  static const char* const kValues[] = {
+      "1e300", "-1", "1.5", "null", "99999999999999999999999", "3000000000",
+      "-9223372036854775809", "18446744073709551616", "-0", "1e-320",
+      "\"x\"", "true", "[]", "{}"};
+  std::string m = doc;
+  const std::size_t at = below(rng, m.size());
+  switch (below(rng, 4)) {
+    case 0: m[at] = static_cast<char>(m[at] ^ (1 << below(rng, 8))); break;
+    case 1: m.erase(at, 1 + below(rng, 8)); break;
+    case 2: m.resize(at); break;
+    default: {
+      const std::size_t begin = m.find_first_of("-0123456789", at);
+      if (begin == std::string::npos) break;
+      const std::size_t end = m.find_first_not_of("+-.0123456789eE", begin);
+      m.replace(begin, end - begin,
+                kValues[below(rng, std::size(kValues))]);
+    }
+  }
+  return m;
+}
+
+/// When `parse` accepts `mutant`, writing what it read and reading that
+/// again must reproduce the same bytes. Returns whether it was accepted.
+template <class Parse>
+bool expect_fixed_point(const std::string& mutant, const Parse& parse) {
+  const auto first = parse(mutant);
+  if (!first) return false;
+  const std::string written = first->to_json();
+  const auto second = parse(written);
+  EXPECT_TRUE(second.has_value()) << mutant;
+  if (second) {
+    EXPECT_EQ(second->to_json(), written) << mutant;
+  }
+  return true;
+}
+
+TEST(ReaderMutation, MutantsNeverCrashAndReadBackToAFixedPoint) {
+  std::vector<std::string> seeds{make_full_report().to_json()};
+  std::vector<std::filesystem::path> baselines;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(KS_BASELINES_DIR)) {
+    baselines.push_back(entry.path());
+  }
+  std::sort(baselines.begin(), baselines.end());
+  for (const auto& path : baselines) {
+    const auto text = read_file(path.string());
+    ASSERT_TRUE(text.has_value()) << path;
+    seeds.push_back(*text);
+  }
+  ASSERT_GT(seeds.size(), 1u);
+
+  const auto report = [](const std::string& s) { return report_from_json(s); };
+  const auto artifact = [](const std::string& s) {
+    return bench::Artifact::parse(s);
+  };
+  Rng rng(0xF1E1D5);
+  int reports = 0, artifacts = 0;
+  for (const auto& seed : seeds) {
+    for (int i = 0; i < 1000; ++i) {
+      const std::string mutant = mutate(seed, rng);
+      reports += expect_fixed_point(mutant, report);
+      artifacts += expect_fixed_point(mutant, artifact);
+    }
+  }
+  // Both readers accept part of the mutants, so both fixed points ran.
+  EXPECT_GT(reports, 0);
+  EXPECT_GT(artifacts, 0);
 }
 
 }  // namespace

@@ -337,7 +337,10 @@ TEST(JsonWriter, NestedStructuresAndEscaping) {
   w.value(1);
   w.value(2.5);
   w.value(true);
-  w.raw("{\"k\":null}");
+  w.begin_object();
+  w.key("k");
+  w.value(std::numeric_limits<double>::quiet_NaN());
+  w.end_object();
   w.end_array();
   w.end_object();
   EXPECT_EQ(w.str(),
