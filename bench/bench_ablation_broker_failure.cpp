@@ -1,125 +1,73 @@
 // Broker-failure scenarios (the paper's explicit future work): inject a
 // fail-stop outage on the leader mid-run and compare delivery semantics.
-// At-least-once retries ride out the outage (within T_o); at-most-once
-// silently loses whatever was in flight when the connection died.
+// A short outage is invisible to every semantics. A long one freezes the
+// ack-paced producers until the real-time source overruns its ring, while
+// the acks=0 flood keeps sending and loses the least.
 #include <cstdio>
 
 #include "bench_core/registry.hpp"
-#include "kafka/broker.hpp"
-#include "kafka/producer.hpp"
-#include "kafka/source.hpp"
-#include "net/link.hpp"
-#include "sim/simulation.hpp"
-#include "tcp/endpoint.hpp"
-#include "testbed/calibration.hpp"
+#include "testbed/experiment.hpp"
 
 namespace {
 
 using namespace ks;
 
-struct OutageResult {
-  double p_loss;
-  double p_duplicate;
-  std::uint64_t resets;
-  double duration_s;
-  std::uint64_t events;
-};
-
-OutageResult run(kafka::DeliverySemantics semantics, Duration outage,
-                 Duration message_timeout, std::uint64_t n,
-                 std::uint64_t seed) {
-  namespace tb = ks::testbed;
-  sim::Simulation sim(seed);
-
-  kafka::Broker::Config bc;
-  bc.request_overhead = micros(500);
-  kafka::Broker broker(sim, bc);
-  broker.create_partition(0);
-
-  net::DuplexLink link(sim, {.bandwidth_bps = tb::kLinkBandwidthBps},
-                       std::make_shared<net::ConstantDelay>(tb::kBaseLanDelay),
-                       std::make_shared<net::NoLoss>(),
-                       std::make_shared<net::ConstantDelay>(tb::kBaseLanDelay),
-                       std::make_shared<net::NoLoss>(), "link");
-  tcp::Config tconf;
-  tconf.send_buffer = tb::kTcpSendBuffer;
-  tconf.receive_window = tb::kTcpReceiveWindow;
-  tconf.max_consecutive_rtos = 4;
-  tcp::Pair conn(sim, tconf, link, "conn");
-  broker.attach(conn.server);
-
-  kafka::Source source(sim, {.total_messages = n,
-                             .message_size = 200,
-                             .emit_interval = millis(4),
-                             .buffer_capacity = n / 10});
-  auto pc = kafka::ProducerConfig::for_semantics(semantics);
-  pc.serialize_base = tb::kSerializeBase;
-  pc.serialize_per_byte_us = tb::kSerializePerByteUs;
-  pc.message_timeout = message_timeout;
-  pc.request_timeout = millis(800);
-  pc.retries = 20;
-  kafka::Producer producer(sim, pc, conn.client, source, 0);
-
-  broker.start();
-  source.start();
-  producer.start();
-  // Outage in the middle of the stream.
-  const TimePoint mid = millis(4) * static_cast<TimePoint>(n) / 2;
-  sim.at(mid, [&broker] { broker.fail(); });
-  sim.at(mid + outage, [&broker] { broker.resume(); });
-
-  while (!producer.finished() && sim.now() < tb::kMaxSimTime) {
-    sim.run_for(seconds(1));
-  }
-  sim.run_for(tb::kDrainGrace);
-
-  std::vector<int> counts(n, 0);
-  for (const auto& e : broker.partition(0)->entries()) {
-    if (e.key < n) ++counts[e.key];
-  }
-  OutageResult r{0.0, 0.0, producer.stats().connection_resets,
-                 to_seconds(sim.now()), sim.events_executed()};
-  for (int c : counts) {
-    if (c == 0) r.p_loss += 1.0;
-    if (c > 1) r.p_duplicate += 1.0;
-  }
-  r.p_loss /= static_cast<double>(n);
-  r.p_duplicate /= static_cast<double>(n);
-  return r;
+testbed::FaultAction broker0(TimePoint at, testbed::FaultAction::Kind kind) {
+  testbed::FaultAction f;
+  f.at = at;
+  f.kind = kind;
+  f.broker = 0;  // The leader of the topic's one partition.
+  return f;
 }
 
 void run_ablation_broker_failure(bench::BenchContext& ctx) {
-  const auto n = ks::bench::messages_per_run(10000);
+  const auto n = bench::messages_per_run(10000);
   std::printf("# Ablation — leader fail-stop outage mid-run (no network "
               "faults)\n");
   std::printf("# stream: %llu x 200B at 250/s; outage starts at the stream "
               "midpoint\n\n",
               static_cast<unsigned long long>(n));
-  ks::bench::Table table({"semantics", "outage (s)", "T_o (ms)", "P_l",
-                          "P_d", "resets"});
+  testbed::Scenario sc;
+  sc.num_messages = n;
+  sc.seed = 90001;
+  sc.source_interval = millis(4);
+  sc.message_timeout = seconds(30);
+  sc.request_timeout = millis(800);
+  sc.retries_override = 20;
+  sc.broker_regimes = false;
+  const TimePoint mid = sc.source_interval * static_cast<TimePoint>(n) / 2;
+
+  bench::Table table({"semantics", "outage (s)", "T_o (ms)", "P_l", "P_d",
+                      "resets"});
   for (auto semantics : {kafka::DeliverySemantics::kAtMostOnce,
                          kafka::DeliverySemantics::kAtLeastOnce,
                          kafka::DeliverySemantics::kExactlyOnce}) {
+    sc.semantics = semantics;
     for (auto outage : {seconds(2), seconds(8)}) {
-      const auto r = run(semantics, outage, seconds(30), n, 90001);
+      using K = testbed::FaultAction::Kind;
+      sc.faults = {broker0(mid, K::kBrokerFail),
+                   broker0(mid + outage, K::kBrokerResume)};
+      const auto r = testbed::run_experiment(sc);
+      const double resets =
+          r.report.metric("kafka_producer_connection_resets_total");
       ctx.account(r.duration_s, r.events, 1);
       ctx.point({{"semantics", static_cast<double>(semantics)},
                  {"outage_s", to_seconds(outage)}},
                 {{"p_loss", {r.p_loss, 0.0}},
                  {"p_duplicate", {r.p_duplicate, 0.0}},
-                 {"connection_resets", {static_cast<double>(r.resets), 0.0}}});
+                 {"connection_resets", {resets, 0.0}}});
       table.row({kafka::to_string(semantics),
-                 ks::bench::fmt("%.0f", to_seconds(outage)), "30000",
-                 ks::bench::pct(r.p_loss), ks::bench::pct(r.p_duplicate),
-                 std::to_string(r.resets)});
+                 bench::fmt("%.0f", to_seconds(outage)), "30000",
+                 bench::pct(r.p_loss), bench::pct(r.p_duplicate),
+                 bench::fmt("%.0f", resets)});
     }
   }
   table.print();
   std::printf("\nFail-stop outages flip the usual ordering: the acks=0 "
-              "flood simply buffers through the outage (TCP flow control "
-              "holds the data), while ack-paced producers freeze their "
-              "admission window and the real-time stream overruns its "
-              "ring once the outage outlasts the upstream buffer.\n");
+              "flood keeps sending into TCP and its queue through the "
+              "outage, while ack-paced producers freeze their admission "
+              "window, so once the outage outlasts the upstream ring the "
+              "real-time stream overruns it and acks=0 loses the least.\n");
 }
 
 KS_BENCH_REGISTER("ablation_broker_failure",

@@ -3,158 +3,38 @@
 // the paper scales producers as N_p' = N_p * (delta + d_delta) / delta to
 // keep the aggregate arrival rate.
 //
-// This bench holds the aggregate stream rate fixed and splits it across
-// N_p producers, each polling at N_p * base interval: loss falls with N_p
-// while the aggregate throughput is preserved.
+// This bench holds the aggregate stream rate fixed (one full-load source)
+// and splits it over N_p producers, one per partition: the round-robin
+// router hands each producer every N_p-th record, so each sees delta' =
+// N_p * delta. Loss falls with N_p while the aggregate throughput holds.
 #include <cstdio>
-#include <memory>
-#include <vector>
+#include <string>
 
 #include "bench_core/registry.hpp"
-#include "kafka/cluster.hpp"
-#include "kafka/producer.hpp"
-#include "kafka/source.hpp"
-#include "net/link.hpp"
-#include "sim/simulation.hpp"
-#include "tcp/endpoint.hpp"
-#include "testbed/calibration.hpp"
+#include "testbed/experiment.hpp"
 
 namespace {
 
 using namespace ks;
 
-struct ScalingResult {
-  double p_loss = 0.0;
-  double throughput = 0.0;
-  double duration_s = 0.0;
-  std::uint64_t events = 0;
-};
-
-ScalingResult run_scaled(int n_producers, std::uint64_t total_messages,
-                         std::uint64_t seed) {
-  namespace tb = ks::testbed;
-  sim::Simulation sim(seed);
-
-  kafka::Cluster::Config cc;
-  cc.num_brokers = 3;
-  cc.broker.request_overhead = tb::kBrokerRequestOverhead;
-  cc.broker.append_per_byte_us = tb::kBrokerAppendPerByteUs;
-  cc.broker.bad_slowdown = tb::kBrokerBadSlowdown;
-  cc.broker.regime.enabled = true;
-  cc.broker.regime.mean_good = tb::kBrokerMeanGood;
-  cc.broker.regime.mean_bad = tb::kBrokerMeanBad;
-  kafka::Cluster cluster(sim, cc);
-  // One partition per producer, spread across the brokers (the paper's
-  // scaled producers are independent pipelines).
-  cluster.create_topic("stream", n_producers);
-
-  struct Slot {
-    std::unique_ptr<net::DuplexLink> link;
-    std::unique_ptr<tcp::Pair> conn;
-    std::unique_ptr<kafka::Source> source;
-    std::unique_ptr<kafka::Producer> producer;
-  };
-  std::vector<Slot> slots;
-
-  const Bytes message_size = 200;
-  // The aggregate stream arrives at full-load speed; each producer sees
-  // 1/N_p of it at N_p times the interval.
-  const Duration base_interval = tb::full_load_interval(message_size);
-  const std::uint64_t per_producer = total_messages /
-                                     static_cast<std::uint64_t>(n_producers);
-
-  tcp::Config tconf;
-  tconf.send_buffer = tb::kTcpSendBuffer;
-  tconf.receive_window = tb::kTcpReceiveWindow;
-  tconf.rto_min = tb::kTcpRtoMin;
-  tconf.rto_max = tb::kTcpRtoMax;
-  tconf.cwnd_floor_segments = tb::kTcpCwndFloorOpenLoop;
-
-  for (int p = 0; p < n_producers; ++p) {
-    Slot slot;
-    slot.link = std::make_unique<net::DuplexLink>(
-        sim, net::Link::Config{.bandwidth_bps = tb::kLinkBandwidthBps},
-        std::make_shared<net::ConstantDelay>(tb::kBaseLanDelay),
-        std::make_shared<net::NoLoss>(),
-        std::make_shared<net::ConstantDelay>(tb::kBaseLanDelay),
-        std::make_shared<net::NoLoss>(), "prod" + std::to_string(p));
-    slot.conn = std::make_unique<tcp::Pair>(sim, tconf, *slot.link,
-                                            "prod" + std::to_string(p));
-    cluster.leader_of("stream", p).attach(slot.conn->server);
-
-    kafka::Source::Config sc;
-    sc.total_messages = per_producer;
-    sc.first_key = static_cast<kafka::Key>(p) * per_producer;
-    sc.message_size = message_size;
-    sc.emit_interval = base_interval * n_producers;
-    sc.buffer_capacity = std::max<std::size_t>(per_producer / 20, 200);
-    slot.source = std::make_unique<kafka::Source>(sim, sc);
-
-    auto pc = kafka::ProducerConfig::at_most_once();
-    pc.serialize_base = tb::kSerializeBase;
-    pc.serialize_per_byte_us = tb::kSerializePerByteUs;
-    pc.message_timeout = millis(500);  // The strict T_o of Fig. 6.
-    pc.poll_interval = base_interval * n_producers;  // delta' = N_p * delta.
-    slot.producer = std::make_unique<kafka::Producer>(
-        sim, pc, slot.conn->client, *slot.source,
-        cluster.partition_id("stream", p));
-    slots.push_back(std::move(slot));
-  }
-
-  cluster.start();
-  for (auto& s : slots) {
-    s.source->start();
-    s.producer->start();
-  }
-  auto all_done = [&] {
-    for (auto& s : slots) {
-      if (!s.producer->finished()) return false;
-    }
-    return true;
-  };
-  while (!all_done() && sim.now() < tb::kMaxSimTime) {
-    sim.run_for(seconds(1));
-  }
-  const TimePoint finish = sim.now();
-  sim.run_for(tb::kDrainGrace);
-
-  const auto census =
-      cluster.census("stream", per_producer *
-                                   static_cast<std::uint64_t>(n_producers));
-  ScalingResult result;
-  result.p_loss = census.p_loss();
-  result.duration_s = to_seconds(finish);
-  result.events = sim.events_executed();
-  if (result.duration_s > 0) {
-    result.throughput =
-        static_cast<double>(census.delivered + census.duplicated) /
-        result.duration_s;
-  }
-  return result;
-}
-
 void run_scaling_producers(bench::BenchContext& ctx) {
-  const auto n = ks::bench::messages_per_run(12000);
+  const auto n = bench::messages_per_run(12000);
   std::printf("# Producer scaling (Sec. IV-C) — fixed aggregate rate split "
               "over N_p producers,\n# each with delta' = N_p * delta "
               "(at-most-once, T_o=500ms, no faults)\n\n");
-  ks::bench::Table table({"N_p", "P_l", "aggregate msg/s"});
+  testbed::Scenario sc;
+  sc.num_messages = n;
+  sc.semantics = kafka::DeliverySemantics::kAtMostOnce;
+  sc.message_timeout = millis(500);  // The strict T_o of Fig. 6.
+  sc.partitioner = kafka::PartitionerKind::kRoundRobin;
+
+  bench::Table table({"N_p", "P_l", "aggregate msg/s"});
   for (int np : {1, 2, 3, 4, 6}) {
-    std::vector<double> loss, thru;
-    const int reps = ks::bench::repeats();
-    for (int rep = 0; rep < reps; ++rep) {
-      const auto r =
-          run_scaled(np, n, 90001 + static_cast<std::uint64_t>(rep) * 7919);
-      loss.push_back(r.p_loss);
-      thru.push_back(r.throughput);
-      ctx.account(r.duration_s, r.events, 1);
-    }
-    const auto loss_stat = ks::bench::stat_of(loss);
-    const auto thru_stat = ks::bench::stat_of(thru);
-    ctx.point({{"n_producers", static_cast<double>(np)}},
-              {{"p_loss", loss_stat}, {"throughput_msg_s", thru_stat}});
-    table.row({std::to_string(np), ks::bench::pct(loss_stat.mean),
-               ks::bench::fmt("%.0f", thru_stat.mean)});
+    sc.partitions = np;
+    const auto r = ctx.run_averaged(sc, bench::repeats());
+    ctx.point({{"n_producers", static_cast<double>(np)}}, r);
+    table.row({std::to_string(np), bench::pct(r.p_loss),
+               bench::fmt("%.0f", r.metrics.at("delivered_throughput").mean)});
   }
   table.print();
   std::printf("\nScaling the overloaded producer preserves the aggregate "

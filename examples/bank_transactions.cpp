@@ -4,110 +4,45 @@
 // This example runs the same unreliable network twice — once with a plain
 // at-least-once producer (duplicates appear under retries) and once with
 // the idempotent exactly-once producer (broker-side sequence dedup) — and
-// audits the ledger for double-applied transfers.
+// audits the ledger (the topic's committed log) for double-applied
+// transfers.
 #include <cstdio>
-#include <map>
-#include <memory>
 
-#include "kafka/cluster.hpp"
-#include "kafka/consumer.hpp"
-#include "kafka/producer.hpp"
-#include "kafka/source.hpp"
-#include "net/netem.hpp"
-#include "sim/simulation.hpp"
-#include "tcp/endpoint.hpp"
-
-namespace {
-
-struct Audit {
-  std::uint64_t transfers_applied = 0;
-  std::uint64_t double_applied = 0;
-  std::uint64_t missing = 0;
-};
-
-Audit run(bool exactly_once) {
-  using namespace ks;
-  constexpr std::uint64_t kTransfers = 5000;
-
-  sim::Simulation sim(7777);
-  kafka::Cluster cluster(sim, {.num_brokers = 3});
-  cluster.create_topic("transfers", 1);
-  auto& leader = cluster.leader_of("transfers", 0);
-  const auto partition = cluster.partition_id("transfers", 0);
-
-  net::DuplexLink link(sim, {.bandwidth_bps = 50e6},
-                       std::make_shared<net::ConstantDelay>(millis(10)),
-                       std::make_shared<net::BernoulliLoss>(0.08),
-                       std::make_shared<net::ConstantDelay>(millis(10)),
-                       std::make_shared<net::NoLoss>(), "wan");
-  tcp::Pair conn(sim, {}, link, "wan");
-  leader.attach(conn.server);
-
-  // 300-byte transfer records, pulled from a durable transaction queue
-  // (on-demand: a bank feed waits rather than overwriting).
-  kafka::Source source(sim, {.total_messages = kTransfers,
-                             .message_size = 300});
-
-  auto pconf = exactly_once ? kafka::ProducerConfig::exactly_once()
-                            : kafka::ProducerConfig::at_least_once();
-  // Transfers must not be dropped: generous delivery timeout, eager
-  // retries (which is exactly what makes duplicates likely without
-  // idempotence).
-  pconf.message_timeout = seconds(120);
-  pconf.request_timeout = millis(300);  // Eager: forces duplicate retries.
-  pconf.retries = 20;
-  kafka::Producer producer(sim, pconf, conn.client, source, partition);
-
-  cluster.start();
-  source.start();
-  producer.start();
-  while (!producer.finished() && sim.now() < seconds(900)) {
-    sim.run_for(millis(500));
-  }
-  sim.run_for(seconds(10));
-
-  // The downstream "ledger" consumes the topic and applies transfers.
-  std::map<kafka::Key, int> ledger;
-  net::DuplexLink clink(sim, {.bandwidth_bps = 100e6},
-                        std::make_shared<net::ConstantDelay>(millis(1)),
-                        std::make_shared<net::NoLoss>(),
-                        std::make_shared<net::ConstantDelay>(millis(1)),
-                        std::make_shared<net::NoLoss>(), "ledger");
-  tcp::Pair cconn(sim, {}, clink, "ledger");
-  leader.attach(cconn.server);
-  kafka::Consumer consumer(sim, {}, cconn.client, partition);
-  consumer.on_record = [&](const kafka::FetchedRecord& r) {
-    ++ledger[r.key];
-  };
-  consumer.start();
-  consumer.drain_until(leader.partition(partition)->log_end_offset());
-  sim.run_for(seconds(120));
-
-  Audit audit;
-  for (kafka::Key k = 0; k < kTransfers; ++k) {
-    auto it = ledger.find(k);
-    if (it == ledger.end()) {
-      ++audit.missing;
-    } else {
-      ++audit.transfers_applied;
-      if (it->second > 1) ++audit.double_applied;
-    }
-  }
-  return audit;
-}
-
-}  // namespace
+#include "testbed/experiment.hpp"
 
 int main() {
+  using namespace ks;
   std::printf("Bank transfers over a lossy WAN (8%% loss, eager retries)\n\n");
-  for (bool eos : {false, true}) {
-    const auto audit = run(eos);
-    std::printf("%s:\n", eos ? "exactly-once (idempotent producer, acks=all)"
-                             : "at-least-once (acks=1, retries)");
+
+  // 5,000 transfer records of 300 bytes, pulled from a durable transaction
+  // queue (on-demand: a bank feed waits rather than overwriting).
+  testbed::Scenario sc;
+  sc.seed = 7777;
+  sc.num_messages = 5000;
+  sc.message_size = 300;
+  sc.source_mode = testbed::SourceMode::kOnDemand;
+  sc.network_delay = millis(10);
+  sc.packet_loss = 0.08;
+  // Transfers must not be dropped: a generous delivery timeout and eager
+  // retries (which is exactly what makes duplicates likely without
+  // idempotence).
+  sc.message_timeout = seconds(120);
+  sc.request_timeout = millis(300);
+  sc.retries_override = 20;
+
+  for (auto semantics : {kafka::DeliverySemantics::kAtLeastOnce,
+                         kafka::DeliverySemantics::kExactlyOnce}) {
+    sc.semantics = semantics;
+    const auto census = testbed::run_experiment(sc).census;
+    std::printf("%s:\n",
+                semantics == kafka::DeliverySemantics::kExactlyOnce
+                    ? "exactly-once (idempotent producer, acks=all)"
+                    : "at-least-once (acks=1, retries)");
     std::printf("  applied: %llu, DOUBLE-APPLIED: %llu, missing: %llu\n\n",
-                static_cast<unsigned long long>(audit.transfers_applied),
-                static_cast<unsigned long long>(audit.double_applied),
-                static_cast<unsigned long long>(audit.missing));
+                static_cast<unsigned long long>(census.total_keys -
+                                                census.lost),
+                static_cast<unsigned long long>(census.duplicated),
+                static_cast<unsigned long long>(census.lost));
   }
   std::printf("Idempotent sequence numbers make retries safe: the broker "
               "drops replayed batches, so no transfer posts twice.\n");

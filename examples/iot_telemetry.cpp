@@ -6,103 +6,54 @@
 // prints the resulting reliability metrics — the decision the paper's
 // prediction model automates.
 #include <cstdio>
-#include <memory>
 
-#include "kafka/broker.hpp"
-#include "kafka/producer.hpp"
-#include "kafka/source.hpp"
-#include "net/link.hpp"
-#include "sim/simulation.hpp"
-#include "tcp/endpoint.hpp"
-
-namespace {
-
-struct RunResult {
-  double p_loss;
-  double p_duplicate;
-  double duration_s;
-};
-
-RunResult run(ks::kafka::DeliverySemantics semantics, int batch_size) {
-  using namespace ks;
-
-  sim::Simulation sim(2024);
-
-  kafka::Broker::Config broker_config;
-  broker_config.request_overhead = micros(500);
-  kafka::Broker broker(sim, broker_config);
-  broker.create_partition(0);
-
-  // Wireless uplink: 10 Mbit/s, bursty Gilbert-Elliott loss averaging ~7%.
-  net::GilbertElliottLoss::Params ge;
-  ge.p_good_to_bad = 0.004;
-  ge.p_bad_to_good = 0.05;
-  ge.loss_good = 0.005;
-  ge.loss_bad = 0.25;
-  net::DuplexLink link(sim, {.bandwidth_bps = 10e6},
-                       std::make_shared<net::ConstantDelay>(millis(15)),
-                       std::make_shared<net::GilbertElliottLoss>(ge),
-                       std::make_shared<net::ConstantDelay>(millis(15)),
-                       std::make_shared<net::NoLoss>(), "uplink");
-
-  tcp::Config tconf;
-  tconf.send_buffer = 16 * 1024;
-  tcp::Pair conn(sim, tconf, link, "uplink");
-  broker.attach(conn.server);
-
-  // 20k sensor readings of ~120 bytes, 500 readings/s, ring of 500.
-  kafka::Source source(sim, {.total_messages = 20000,
-                             .message_size = 120,
-                             .size_jitter = 40,
-                             .emit_interval = millis(5),
-                             .buffer_capacity = 500});
-
-  auto pconf = kafka::ProducerConfig::for_semantics(semantics);
-  pconf.batch_size = batch_size;
-  pconf.message_timeout = millis(4000);  // Stale telemetry is useless.
-  pconf.request_timeout = millis(700);
-  kafka::Producer producer(sim, pconf, conn.client, source, 0);
-
-  broker.start();
-  source.start();
-  producer.start();
-  while (!producer.finished() && sim.now() < seconds(600)) {
-    sim.run_for(millis(500));
-  }
-  sim.run_for(seconds(10));
-
-  // Key census straight off the partition log.
-  std::vector<int> counts(20000, 0);
-  for (const auto& e : broker.partition(0)->entries()) {
-    if (e.key < counts.size()) ++counts[e.key];
-  }
-  std::uint64_t lost = 0, dup = 0;
-  for (int c : counts) {
-    if (c == 0) ++lost;
-    if (c > 1) ++dup;
-  }
-  return RunResult{static_cast<double>(lost) / 20000.0,
-                   static_cast<double>(dup) / 20000.0,
-                   to_seconds(sim.now())};
-}
-
-}  // namespace
+#include "testbed/experiment.hpp"
 
 int main() {
-  using ks::kafka::DeliverySemantics;
+  using namespace ks;
+  using K = testbed::FaultAction::Kind;
+
+  // Wireless uplink from t = 0: 10 Mbit/s, 15 ms one-way delay and bursty
+  // Gilbert-Elliott loss averaging ~7%.
+  testbed::FaultAction uplink;
+  uplink.kind = K::kGilbertElliott;
+  uplink.delay = millis(15);
+  uplink.ge.p_good_to_bad = 0.004;
+  uplink.ge.p_bad_to_good = 0.05;
+  uplink.ge.loss_good = 0.005;
+  uplink.ge.loss_bad = 0.25;
+  testbed::FaultAction line_rate;
+  line_rate.kind = K::kBandwidth;
+  line_rate.bandwidth_bps = 10e6;
+
+  // 20k sensor readings of ~120 bytes, one every 5 ms.
+  testbed::Scenario sc;
+  sc.seed = 2024;
+  sc.num_messages = 20000;
+  sc.message_size = 120;
+  sc.message_size_jitter = 40;
+  sc.source_interval = millis(5);
+  sc.message_timeout = millis(4000);  // Stale telemetry is useless.
+  sc.request_timeout = millis(700);
+  sc.faults = {uplink, line_rate};
+
   std::printf("IoT telemetry over a bursty wireless uplink (GE loss ~7%%)\n");
   std::printf("%-15s %-6s %-10s %-10s\n", "semantics", "B", "P_l", "P_d");
-  for (auto semantics : {DeliverySemantics::kAtMostOnce,
-                         DeliverySemantics::kAtLeastOnce,
-                         DeliverySemantics::kExactlyOnce}) {
+  for (auto semantics : {kafka::DeliverySemantics::kAtMostOnce,
+                         kafka::DeliverySemantics::kAtLeastOnce,
+                         kafka::DeliverySemantics::kExactlyOnce}) {
     for (int batch : {1, 8}) {
-      const auto r = run(semantics, batch);
-      std::printf("%-15s %-6d %-10.4f %-10.4f\n",
-                  ks::kafka::to_string(semantics), batch, r.p_loss,
-                  r.p_duplicate);
+      sc.semantics = semantics;
+      sc.batch_size = batch;
+      const auto r = testbed::run_experiment(sc);
+      std::printf("%-15s %-6d %-10.4f %-10.4f\n", kafka::to_string(semantics),
+                  batch, r.p_loss, r.p_duplicate);
     }
   }
-  std::printf("\nTakeaway (paper Sec. VI): batch small sensor readings and "
-              "use acks; idempotence removes the duplicate risk.\n");
+  std::printf("\nTakeaway (paper Sec. VI): batch small sensor readings: at "
+              "B = 8 the ack-paced producers keep up with the stream and "
+              "lose nothing. Idempotence removes the duplicates that "
+              "at-least-once retries add. Over this uplink TCP alone carries "
+              "acks=0 through the bursts.\n");
   return 0;
 }

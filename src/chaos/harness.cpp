@@ -1,15 +1,18 @@
 #include "chaos/harness.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string_view>
 
 #include "obs/explain.hpp"
 #include "obs/health.hpp"
+#include "obs/json_fields.hpp"
 
 namespace ks::chaos {
 
@@ -278,22 +281,49 @@ Report run(const Options& options) {
   return report;
 }
 
+std::optional<std::uint64_t> parse_u64(std::string_view text) noexcept {
+  int base = 10;
+  if (text.size() > 2 && text[0] == '0' &&
+      (text[1] == 'x' || text[1] == 'X')) {
+    text.remove_prefix(2);
+    base = 16;
+  }
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [p, ec] = std::from_chars(text.data(), end, value, base);
+  if (text.empty() || ec != std::errc{} || p != end) return std::nullopt;
+  return value;
+}
+
 Options options_from_env(Options base) {
-  if (const char* seed = std::getenv("KS_CHAOS_SEED");
-      seed != nullptr && *seed != '\0') {
-    base.single_seed = std::strtoull(seed, nullptr, 0);
-  }
-  if (const char* iters = std::getenv("KS_CHAOS_ITERS");
-      iters != nullptr && *iters != '\0') {
-    base.iterations = std::strtoull(iters, nullptr, 0);
-  }
-  if (const char* profile = std::getenv("KS_CHAOS_PROFILE");
-      profile != nullptr && *profile != '\0') {
-    const std::string_view name(profile);
-    base.profile = name == "broker_faults"   ? Profile::kBrokerFaults
-                   : name == "group_faults"  ? Profile::kGroupFaults
-                   : name == "disk_faults"   ? Profile::kDiskFaults
-                                             : Profile::kDefault;
+  // An unset or empty knob keeps `base`; a malformed one throws.
+  const auto knob = [](const char* name) -> std::optional<std::string> {
+    const char* v = std::getenv(name);
+    if (v == nullptr || *v == '\0') return std::nullopt;
+    return v;
+  };
+  const auto number = [&](const char* name) -> std::optional<std::uint64_t> {
+    const auto v = knob(name);
+    if (!v) return std::nullopt;
+    if (const auto n = parse_u64(*v)) return n;
+    throw std::invalid_argument(std::string(name) + "='" + *v +
+                                "' is not a decimal or 0x number");
+  };
+  if (const auto seed = number("KS_CHAOS_SEED")) base.single_seed = seed;
+  if (const auto iters = number("KS_CHAOS_ITERS")) base.iterations = *iters;
+  if (const auto name = knob("KS_CHAOS_PROFILE")) {
+    const auto profile = obs::enum_from_string<Profile>(*name);
+    if (!profile) {
+      std::string known;
+      for (int i = 0;; ++i) {
+        const std::string_view n = to_string(static_cast<Profile>(i));
+        if (n == "?") break;
+        known += (i == 0 ? "" : ", ") + std::string(n);
+      }
+      throw std::invalid_argument("KS_CHAOS_PROFILE='" + *name +
+                                  "' is not one of " + known);
+    }
+    base.profile = *profile;
   }
   return base;
 }

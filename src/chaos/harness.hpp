@@ -7,10 +7,11 @@
 //   KS_CHAOS_SEED=0x1234abcd ctest -R Chaos --output-on-failure
 //
 // Environment knobs (read by options_from_env):
-//   KS_CHAOS_SEED     replay exactly one scenario seed (hex or decimal)
+//   KS_CHAOS_SEED     replay exactly one scenario seed (0x hex or decimal)
 //   KS_CHAOS_ITERS    number of randomized scenarios (long-soak unlock)
-//   KS_CHAOS_PROFILE  fault-mix profile: "default", "broker_faults" or
-//                     "group_faults"
+//   KS_CHAOS_PROFILE  fault-mix profile, by its to_string(Profile) name:
+//                     "default", "broker_faults", "group_faults" or
+//                     "disk_faults"
 #pragma once
 
 #include <cstdint>
@@ -80,8 +81,16 @@ struct Report {
 /// Run the harness: corpus seeds first, then the randomized sweep.
 Report run(const Options& options);
 
-/// Apply KS_CHAOS_SEED / KS_CHAOS_ITERS on top of `base`.
+/// Apply KS_CHAOS_SEED / KS_CHAOS_ITERS / KS_CHAOS_PROFILE on top of
+/// `base`. Throws std::invalid_argument, naming what it accepts, for a
+/// number parse_u64 rejects or a profile name no Profile carries.
 Options options_from_env(Options base = {});
+
+/// A whole decimal or 0x-prefixed hex token whose value fits in 64 bits;
+/// nullopt for anything else (empty, a sign, a trailing character, an
+/// overflow). The one reader of seeds, keys and counts given on a command
+/// line or in the environment.
+std::optional<std::uint64_t> parse_u64(std::string_view text) noexcept;
 
 /// Load a seed corpus: one seed per line (hex 0x... or decimal), '#'
 /// comments and blank lines ignored. Missing file => empty corpus.

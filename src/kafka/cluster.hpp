@@ -32,7 +32,7 @@ class Cluster {
  public:
   struct Config {
     int num_brokers = 3;  ///< The paper's testbed runs three brokers.
-    Broker::Config broker;
+    Broker::Config broker{};
 
     // ---- replication (no effect at replication_factor == 1) ----
     int replication_factor = 1;

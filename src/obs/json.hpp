@@ -81,6 +81,10 @@ class JsonWriter {
     comma();
     out_ += v ? "true" : "false";
   }
+  void null() {
+    comma();
+    out_ += "null";
+  }
 
   const std::string& str() const noexcept { return out_; }
 

@@ -19,9 +19,11 @@
 // A field holds bool, an integer, double, std::string, an enum with
 // to_string(), a record with a field list, or a std::vector of these. A
 // std::map<std::string, double> and a vector of (name, value) pairs are
-// each written as one JSON object, name -> value. Beyond the plain field a
-// list can use
-//   v.optional(key, s)   a string the writer omits when empty;
+// each written as one JSON object, name -> value. A JsonValue field is an
+// opaque object subtree (a record of a layer above this one), written
+// back as it was read. Beyond the plain field a list can use
+//   v.optional(key, s)   a string the writer omits when empty, or a
+//                        JsonValue it omits when null;
 //   v.object(key, body)  one JSON object around the fields `body` visits;
 //   v(key, vec, skip)    a vector whose elements e with skip(e) the writer
 //                        leaves out;
@@ -30,7 +32,8 @@
 // The reading rule:
 //   - An absent key, or a value of another JSON type, leaves the field at
 //     its default. An array element of another type reads as a default
-//     element; a map member that is not a number is left out.
+//     element; a map member that is not a number is left out; a JsonValue
+//     field takes only an object.
 //   - An enum field must be present and carry a name to_string() gives one
 //     of its values.
 //   - An integer field given a number must get an integer token (no
@@ -113,6 +116,9 @@ class JsonOut {
   void optional(const char* key, const std::string& s) {
     if (!s.empty()) (*this)(key, s);
   }
+  void optional(const char* key, const JsonValue& subtree) {
+    if (subtree.type != JsonValue::Type::kNull) (*this)(key, subtree);
+  }
   template <class Body>
   void object(const char* key, const Body& body) {
     w_.key(key);
@@ -129,6 +135,8 @@ class JsonOut {
       w_.value(x);
     } else if constexpr (std::is_enum_v<T>) {
       w_.value(to_string(x));
+    } else if constexpr (std::is_same_v<T, JsonValue>) {
+      write_subtree(x);
     } else if constexpr (kInteger<T> && std::is_signed_v<T>) {
       w_.value(static_cast<std::int64_t>(x));
     } else if constexpr (kInteger<T>) {
@@ -156,6 +164,38 @@ class JsonOut {
   const std::string& str() const noexcept { return w_.str(); }
 
  private:
+  /// A parsed value as it was read; an integer token keeps its exact
+  /// value, which a double would round above 2^53.
+  void write_subtree(const JsonValue& v) {
+    switch (v.type) {
+      case JsonValue::Type::kNull: w_.null(); break;
+      case JsonValue::Type::kBool: w_.value(v.boolean); break;
+      case JsonValue::Type::kNumber:
+        if (!v.integral) {
+          w_.value(v.number);
+        } else if (v.integer < 0) {
+          w_.value(v.integer);
+        } else {
+          w_.value(v.uinteger);
+        }
+        break;
+      case JsonValue::Type::kString: w_.value(v.string); break;
+      case JsonValue::Type::kArray:
+        w_.begin_array();
+        for (const auto& e : v.array) write_subtree(e);
+        w_.end_array();
+        break;
+      case JsonValue::Type::kObject:
+        w_.begin_object();
+        for (const auto& [name, member] : v.object) {
+          w_.key(name);
+          write_subtree(member);
+        }
+        w_.end_object();
+        break;
+    }
+  }
+
   JsonWriter w_;
 };
 
@@ -176,6 +216,9 @@ class JsonIn {
     read(member(key), vec);
   }
   void optional(const char* key, std::string& s) { read(member(key), s); }
+  void optional(const char* key, JsonValue& subtree) {
+    read(member(key), subtree);
+  }
   template <class Body>
   void object(const char* key, const Body& body) {
     const JsonValue* outer = at_;
@@ -203,6 +246,8 @@ class JsonIn {
       if (v != nullptr && v->is_number()) x = v->number;
     } else if constexpr (std::is_same_v<T, std::string>) {
       if (v != nullptr && v->is_string()) x = v->string;
+    } else if constexpr (std::is_same_v<T, JsonValue>) {
+      if (v != nullptr && v->is_object()) x = *v;
     } else if constexpr (kInteger<T>) {
       if (v == nullptr || !v->is_number()) return;
       if (const auto i = v->to_int<T>()) {

@@ -147,13 +147,15 @@ void fields(V& v, RunReport::Perf& p) {
   v("sections", p.sections);
 }
 
-/// The canonical form leaves out the host-dependent parts: wall-clock
-/// metrics and their series, and the whole perf section, key and all.
+/// The canonical form leaves out the host-dependent parts (wall-clock
+/// metrics and their series, and the whole perf section, key and all) and
+/// the scenario section.
 template <class V>
 void fields(V& v, RunReport& r) {
   const auto host = [&v](const auto& m) {
     return v.canonical && is_wall_clock_metric(m.name);
   };
+  if (!v.canonical) v.optional("scenario", r.scenario);
   v("summary", r.summary);
   v("metrics", r.metrics, host);
   v("histograms", r.histograms);

@@ -9,6 +9,7 @@
 
 #include "common/types.hpp"
 #include "obs/health.hpp"
+#include "obs/json_parse.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/sampler.hpp"
@@ -57,6 +58,14 @@ struct RunReport {
     std::vector<ProfileSection> sections;
   };
 
+  /// The Scenario the run was made from, as testbed::to_json() wrote it
+  /// (read it back with testbed::scenario_from_json). This layer sits below
+  /// the testbed, so it keeps the section as an opaque JSON object; null
+  /// (and left out of the JSON) for a report built by hand. Like perf, it
+  /// stays out of canonical_json(): runs of different scenarios may still
+  /// compare equal there (a controller that stays off, a schedule replayed
+  /// by an oracle).
+  JsonValue scenario;
   /// Run-level scalars (p_loss, duration_s, ...), keyed by name; insertion
   /// order is irrelevant, a map keeps the JSON deterministic.
   std::map<std::string, double> summary;

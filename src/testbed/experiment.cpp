@@ -258,21 +258,6 @@ Testbed::Testbed(const Scenario& scenario)
   for (int p = 0; p < num_partitions; ++p) {
     partition_ids.push_back(cluster.partition_id("stream", p));
   }
-  summary["seed"] = sc.seed;
-  summary["num_messages"] = sc.num_messages;
-  summary["message_size"] = sc.message_size;
-  summary["network_delay_ms"] = to_millis(sc.network_delay);
-  summary["packet_loss"] = sc.packet_loss;
-  summary["batch_size"] = sc.batch_size;
-  summary["semantics"] = static_cast<double>(sc.semantics);
-  summary["replication_factor"] = sc.replication_factor;
-  summary["min_insync_replicas"] = sc.min_insync_replicas;
-  summary["unclean_leader_election"] = sc.unclean_leader_election ? 1.0 : 0.0;
-  summary["flush_messages"] = sc.flush_messages;
-  summary["flush_interval_ms"] = to_millis(sc.flush_interval);
-  summary["partitions"] = num_partitions;
-  summary["partitioner"] =
-      sc.partitioner == kafka::PartitionerKind::kKeyed ? 0.0 : 1.0;
 }
 
 Connection Testbed::connect(const std::string& client, int b) {
@@ -444,7 +429,6 @@ void build_topology(Testbed& tb) {
 // side, as in the paper). Member faults are wired by the group stage.
 void schedule_faults(Testbed& tb) {
   auto& sim = tb.sim;
-  tb.summary["fault_actions"] = tb.sc.faults.size();
   for (const auto& f : tb.sc.faults) {
     // Timeline marker for every injected fault, so failure narratives can
     // line message fates up against the fault schedule.
@@ -570,12 +554,6 @@ void schedule_members(Testbed& tb) {
 void build_group(Testbed& tb) {
   const Scenario& sc = tb.sc;
   if (!tb.grouped) return;
-  tb.summary["group_size"] = sc.group_size;
-  tb.summary["group_commit_mode"] =
-      sc.group_commit_mode == kafka::CommitMode::kCommitBeforeDeliver ? 0.0
-                                                                      : 1.0;
-  tb.summary["group_strategy"] =
-      sc.group_strategy == kafka::AssignmentStrategy::kEager ? 0.0 : 1.0;
   kafka::GroupCoordinator::Config gc;
   gc.strategy = sc.group_strategy;
   gc.session_timeout = sc.group_session_timeout;
@@ -1015,10 +993,10 @@ void take_group_census(Testbed& tb) {
 }
 
 // ---- report -----------------------------------------------------------------
-// Structured run artifact: final snapshot (components destroyed by earlier
-// stages, like the drain consumer, report their frozen final values), time
-// series, the sampled message trace, the causal spans and the cluster
-// timeline, plus the run-level summary the stages wrote.
+// Structured run artifact: the scenario, the final snapshot (components
+// destroyed by earlier stages, like the drain consumer, report their frozen
+// final values), time series, the sampled message trace, the causal spans
+// and the cluster timeline, plus the run-level summary the stages wrote.
 ExperimentResult write_report(Testbed& tb,
                               std::chrono::steady_clock::time_point wall_start,
                               const obs::Profiler::Snapshot& prof_start) {
@@ -1030,6 +1008,7 @@ ExperimentResult write_report(Testbed& tb,
   r.report = obs::build_run_report(sim.metrics(),
                                    sampled ? &tb.sampler : nullptr, &tb.trace,
                                    &sim.tracer(), &sim.timeline());
+  r.report.scenario = *obs::parse_json(to_json(tb.sc));
   r.report.acked_lost_keys = std::move(tb.acked_lost_keys);
   r.report.lost_keys = std::move(tb.lost_keys);
   r.report.group_lost_keys = std::move(tb.group_lost_keys);

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -14,6 +15,10 @@
 #include "kafka/producer.hpp"
 #include "net/loss_model.hpp"
 #include "testbed/adaptive.hpp"
+
+namespace ks::obs {
+class JsonValue;
+}  // namespace ks::obs
 
 namespace ks::testbed {
 
@@ -55,6 +60,8 @@ struct FaultAction {
   std::string describe() const;  ///< One-line human-readable summary.
 };
 
+const char* to_string(FaultAction::Kind kind) noexcept;
+
 /// How the upstream source behaves.
 enum class SourceMode {
   /// Real-time stream: messages are generated on a schedule regardless of
@@ -65,6 +72,10 @@ enum class SourceMode {
   kOnDemand,
 };
 
+const char* to_string(SourceMode mode) noexcept;
+
+/// A new field also needs a line in the field list in scenario.cpp, or
+/// the report's scenario section leaves it out and a re-run loses it.
 struct Scenario {
   // --- streaming-data type --------------------------------------------------
   Bytes message_size = 200;            ///< M, bytes.
@@ -198,5 +209,18 @@ struct Scenario {
   static const std::vector<const char*>& normal_feature_names();
   static const std::vector<const char*>& abnormal_feature_names();
 };
+
+/// The scenario as one JSON object, written through the field lists in
+/// scenario.cpp (obs/json_fields.hpp): every field under its own name,
+/// durations as integer microseconds with a `_us` suffix, enums by their
+/// to_string() names. `adaptive_factory` is code, not data, so it is left
+/// out: a run re-made from the JSON must re-install it.
+std::string to_json(const Scenario& scenario);
+
+/// Read a scenario back from `json` by the reading rule of
+/// obs/json_fields.hpp: an absent key keeps the Scenario default. nullopt
+/// when `json` is no object or breaks the rule (an enum name no value
+/// carries, an integer its field cannot hold).
+std::optional<Scenario> scenario_from_json(const obs::JsonValue& json);
 
 }  // namespace ks::testbed

@@ -1,7 +1,8 @@
 // ks_explain: turn a failing chaos seed or a saved run artifact into a
 // human-readable causal narrative for one message key.
 //
-//   ks_explain --seed 0x14b [--profile broker_faults|group_faults] [--key K]
+//   ks_explain --seed 0x14b [--profile default|broker_faults|group_faults|
+//                            disk_faults] [--key K]
 //              [--report out.json] [--perfetto out.perfetto.json]
 //   ks_explain path/to/report.json [--key K]
 //
@@ -19,8 +20,10 @@
 #include <string>
 
 #include "chaos/generator.hpp"
+#include "chaos/harness.hpp"
 #include "chaos/invariants.hpp"
 #include "obs/explain.hpp"
+#include "obs/json_fields.hpp"
 #include "obs/report.hpp"
 #include "obs/report_parse.hpp"
 #include "testbed/experiment.hpp"
@@ -61,19 +64,26 @@ Args parse_args(int argc, char** argv) {
       }
       return argv[++i];
     };
+    const auto number = [&](std::optional<std::uint64_t>& out) {
+      const char* flag = argv[i];
+      const char* v = value();
+      out = chaos::parse_u64(v);
+      if (!out && args.ok) {
+        std::fprintf(stderr,
+                     "ks_explain: %s takes a decimal or 0x number, not '%s'\n",
+                     flag, v);
+        args.ok = false;
+      }
+    };
     if (arg == "--seed") {
-      args.seed = std::strtoull(value(), nullptr, 0);
+      number(args.seed);
     } else if (arg == "--key") {
-      args.key = std::strtoull(value(), nullptr, 0);
+      number(args.key);
     } else if (arg == "--profile") {
       const std::string_view p = value();
-      if (p == "broker_faults") {
-        args.profile = chaos::Profile::kBrokerFaults;
-      } else if (p == "group_faults") {
-        args.profile = chaos::Profile::kGroupFaults;
-      } else if (p == "disk_faults") {
-        args.profile = chaos::Profile::kDiskFaults;
-      } else if (p != "default") {
+      if (const auto profile = obs::enum_from_string<chaos::Profile>(p)) {
+        args.profile = *profile;
+      } else if (args.ok) {
         std::fprintf(stderr, "ks_explain: unknown profile '%.*s'\n",
                      static_cast<int>(p.size()), p.data());
         args.ok = false;

@@ -18,7 +18,9 @@
 #include <string_view>
 
 #include "chaos/generator.hpp"
+#include "chaos/harness.hpp"
 #include "obs/health.hpp"
+#include "obs/json_fields.hpp"
 #include "obs/report.hpp"
 #include "obs/report_parse.hpp"
 #include "testbed/experiment.hpp"
@@ -57,17 +59,24 @@ Args parse_args(int argc, char** argv) {
       }
       return argv[++i];
     };
+    const auto number = [&](std::optional<std::uint64_t>& out) {
+      const char* flag = argv[i];
+      const char* v = value();
+      out = chaos::parse_u64(v);
+      if (!out && args.ok) {
+        std::fprintf(stderr,
+                     "ks_health: %s takes a decimal or 0x number, not '%s'\n",
+                     flag, v);
+        args.ok = false;
+      }
+    };
     if (arg == "--seed") {
-      args.seed = std::strtoull(value(), nullptr, 0);
+      number(args.seed);
     } else if (arg == "--profile") {
       const std::string_view p = value();
-      if (p == "broker_faults") {
-        args.profile = chaos::Profile::kBrokerFaults;
-      } else if (p == "group_faults") {
-        args.profile = chaos::Profile::kGroupFaults;
-      } else if (p == "disk_faults") {
-        args.profile = chaos::Profile::kDiskFaults;
-      } else if (p != "default") {
+      if (const auto profile = obs::enum_from_string<chaos::Profile>(p)) {
+        args.profile = *profile;
+      } else if (args.ok) {
         std::fprintf(stderr, "ks_health: unknown profile '%.*s'\n",
                      static_cast<int>(p.size()), p.data());
         args.ok = false;

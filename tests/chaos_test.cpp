@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <limits>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "kpi/online_controller.hpp"
 #include "obs/explain.hpp"
 #include "obs/health.hpp"
+#include "obs/json_fields.hpp"
 #include "testbed/experiment.hpp"
 
 #ifndef KS_CORPUS_DIR
@@ -206,6 +208,42 @@ TEST(Chaos, EnvKnobsOverrideOptions) {
   EXPECT_EQ(options_from_env().profile, Profile::kGroupFaults);
   ::unsetenv("KS_CHAOS_PROFILE");
   EXPECT_EQ(options_from_env().profile, Profile::kDefault);
+}
+
+// A malformed knob fails loudly: an unknown profile used to run the
+// default sweep, and KS_CHAOS_ITERS=5k used to run 5 scenarios.
+TEST(Chaos, EnvKnobsRejectUnknownProfilesAndMalformedNumbers) {
+  ::setenv("KS_CHAOS_PROFILE", "disk-faults", 1);
+  try {
+    options_from_env();
+    ADD_FAILURE() << "an unknown profile was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("disk_faults"), std::string::npos)
+        << "the message should name the accepted profiles: " << e.what();
+  }
+  ::unsetenv("KS_CHAOS_PROFILE");
+  for (const char* iters : {"5k", "-1", "0x", " 5", "18446744073709551616"}) {
+    ::setenv("KS_CHAOS_ITERS", iters, 1);
+    EXPECT_THROW(options_from_env(), std::invalid_argument) << iters;
+  }
+  ::unsetenv("KS_CHAOS_ITERS");
+  ::setenv("KS_CHAOS_SEED", "0x5EEDFACEzz", 1);
+  EXPECT_THROW(options_from_env(), std::invalid_argument);
+  ::unsetenv("KS_CHAOS_SEED");
+}
+
+TEST(Chaos, ParseU64TakesWholeDecimalOrHexTokensOnly) {
+  EXPECT_EQ(parse_u64("0"), 0u);
+  EXPECT_EQ(parse_u64("42"), 42u);
+  EXPECT_EQ(parse_u64("0x2a"), 0x2au);
+  EXPECT_EQ(parse_u64("0X5EEDFACE"), 0x5EEDFACEu);
+  EXPECT_EQ(parse_u64("18446744073709551615"), ~std::uint64_t{0});
+  EXPECT_EQ(parse_u64("0xffffffffffffffff"), ~std::uint64_t{0});
+  for (const char* bad :
+       {"", "0x", "zz", "0x1zz", "banana", "5k", "-1", "+1", " 1", "1 ",
+        "1.5", "18446744073709551616", "0x10000000000000000", "0x-1"}) {
+    EXPECT_FALSE(parse_u64(bad).has_value()) << "'" << bad << "'";
+  }
 }
 
 TEST(Chaos, TaggedSeedCorpusParses) {
@@ -745,6 +783,39 @@ TEST(ChaosHealth, HealthyGroupRunRaisesNoAlerts) {
   for (const auto& v : result.report.health.verdicts) {
     EXPECT_EQ(v.verdict, obs::LagVerdict::kOk) << "partition " << v.partition;
   }
+}
+
+// The scenario codec over the generator's whole space: Scenario -> JSON ->
+// Scenario re-encodes to the same bytes, the report records those bytes,
+// and the decoded scenario replays to the original's canonical report.
+// Runs with the adaptive controller armed are only round-tripped: their
+// factory is code the JSON leaves out, and running them would train the
+// predictor here.
+TEST(ScenarioCodec, GeneratedScenariosRoundTripAndReplay) {
+  std::set<Kind> kinds;
+  int replayed = 0;
+  for (const auto profile : {Profile::kDefault, Profile::kBrokerFaults,
+                             Profile::kGroupFaults, Profile::kDiskFaults}) {
+    for (std::uint64_t i = 0; i < 25; ++i) {
+      const auto cs = generate_scenario(scenario_seed(0xC0DEC, i), profile);
+      const std::string json = testbed::to_json(cs.scenario);
+      const auto doc = obs::parse_json(json);
+      ASSERT_TRUE(doc.has_value()) << json;
+      const auto decoded = testbed::scenario_from_json(*doc);
+      ASSERT_TRUE(decoded.has_value()) << json;
+      EXPECT_EQ(testbed::to_json(*decoded), json);
+      for (const auto& f : cs.scenario.faults) kinds.insert(f.kind);
+      if (cs.scenario.adaptive_enabled) continue;
+      const auto original = testbed::run_experiment(cs.scenario);
+      EXPECT_EQ(obs::encode_json(original.report.scenario), json);
+      EXPECT_EQ(testbed::run_experiment(*decoded).report.canonical_json(),
+                original.report.canonical_json())
+          << cs.describe();
+      ++replayed;
+    }
+  }
+  EXPECT_GE(replayed, 50);
+  EXPECT_GE(kinds.size(), 10u) << "the generator's fault mix shrank";
 }
 
 }  // namespace

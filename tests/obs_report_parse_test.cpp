@@ -11,11 +11,13 @@
 #include <filesystem>
 #include <iterator>
 #include <limits>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "bench_core/artifact.hpp"
+#include "chaos/generator.hpp"
 #include "common/rng.hpp"
 #include "obs/json_parse.hpp"
 #include "obs/profiler.hpp"
@@ -56,6 +58,12 @@ TEST(ReportParse, MetricKindFromStringInvertsToString) {
   expect_names_round_trip(ClusterEventKind::kReconfigure);
   expect_names_round_trip(HealthDetector::kFlushStall);
   expect_names_round_trip(LagVerdict::kStop);
+}
+
+TEST(ReportParse, ScenarioAndProfileNamesInvertToString) {
+  expect_names_round_trip(testbed::SourceMode::kOnDemand);
+  expect_names_round_trip(testbed::FaultAction::Kind::kFlushStall);
+  expect_names_round_trip(chaos::Profile::kDiskFaults);
 }
 
 TEST(ReportParse, IntegerTokensKeepExact64BitValues) {
@@ -482,8 +490,85 @@ bool expect_fixed_point(const std::string& mutant, const Parse& parse) {
   return true;
 }
 
+/// Bare scenarios that together hold every FaultAction::Kind, with values
+/// off the defaults in every group of fields.
+std::vector<testbed::Scenario> hand_built_scenarios() {
+  using K = testbed::FaultAction::Kind;
+  const auto fault = [](TimePoint at, K kind) {
+    testbed::FaultAction f;
+    f.at = at;
+    f.kind = kind;
+    return f;
+  };
+  testbed::Scenario net;
+  net.seed = ~std::uint64_t{0};
+  net.message_size_jitter = 40;
+  net.source_mode = testbed::SourceMode::kOnDemand;
+  net.network_delay = millis(15);
+  net.packet_loss = 0.0123456789012345;
+  net.semantics = kafka::DeliverySemantics::kAtMostOnce;
+  auto ge = fault(0, K::kGilbertElliott);
+  ge.delay = millis(15);
+  ge.ge.loss_bad = 0.25;
+  auto netem = fault(seconds(2), K::kNetem);
+  netem.delay = millis(100);
+  netem.loss = 0.08;
+  auto line_rate = fault(seconds(3), K::kBandwidth);
+  line_rate.bandwidth_bps = 10e6;
+  net.faults = {ge, netem, line_rate};
+
+  testbed::Scenario disk;
+  disk.replication_factor = 3;
+  disk.min_insync_replicas = 2;
+  disk.unclean_leader_election = true;
+  disk.flush_messages = 1;
+  disk.flush_interval = millis(50);
+  auto power_loss = fault(seconds(1), K::kPowerLoss);
+  power_loss.broker = 1;
+  power_loss.torn_write = true;
+  auto corrupt = fault(seconds(2), K::kDiskCorrupt);
+  corrupt.broker = 2;
+  corrupt.disk_seed = 0xDEADBEEFCAFEF00Du;
+  auto stall = fault(seconds(3), K::kFlushStall);
+  stall.delay = millis(300);
+  disk.faults = {fault(0, K::kBrokerFail), fault(seconds(1), K::kBrokerResume),
+                 power_loss, fault(seconds(2), K::kPowerRestore), corrupt,
+                 stall};
+
+  testbed::Scenario group;
+  group.partitions = 4;
+  group.partitioner = kafka::PartitionerKind::kRoundRobin;
+  group.group_size = 3;
+  group.group_commit_mode = kafka::CommitMode::kCommitBeforeDeliver;
+  group.group_strategy = kafka::AssignmentStrategy::kEager;
+  group.group_static_membership = true;
+  group.adaptive_enabled = true;
+  group.adaptive_interval = millis(400);
+  auto crash = fault(seconds(1), K::kConsumerCrash);
+  crash.member = 2;
+  auto pause = fault(seconds(2), K::kConsumerPause);
+  pause.member = 1;
+  pause.delay = millis(900);
+  group.faults = {crash, fault(seconds(3), K::kConsumerRestart), pause,
+                  fault(seconds(4), K::kGroupScaleOut)};
+  return {net, disk, group};
+}
+
 TEST(ReaderMutation, MutantsNeverCrashAndReadBackToAFixedPoint) {
   std::vector<std::string> seeds{make_full_report().to_json()};
+  const auto scenarios = hand_built_scenarios();
+  std::set<testbed::FaultAction::Kind> kinds;
+  for (const auto& sc : scenarios) {
+    for (const auto& f : sc.faults) kinds.insert(f.kind);
+    seeds.push_back(testbed::to_json(sc));
+  }
+  EXPECT_EQ(kinds.size(),
+            static_cast<std::size_t>(testbed::FaultAction::Kind::kFlushStall) +
+                1)
+      << "the seed scenarios miss a fault kind";
+  RunReport with_scenario = make_full_report();
+  with_scenario.scenario = *parse_json(seeds.back());
+  seeds.push_back(with_scenario.to_json());
   std::vector<std::filesystem::path> baselines;
   for (const auto& entry :
        std::filesystem::directory_iterator(KS_BASELINES_DIR)) {
@@ -501,18 +586,33 @@ TEST(ReaderMutation, MutantsNeverCrashAndReadBackToAFixedPoint) {
   const auto artifact = [](const std::string& s) {
     return bench::Artifact::parse(s);
   };
+  // The scenario reader takes a parsed document; testbed::to_json writes.
+  struct ScenarioDoc {
+    testbed::Scenario scenario;
+    std::string to_json() const { return testbed::to_json(scenario); }
+  };
+  const auto scenario =
+      [](const std::string& s) -> std::optional<ScenarioDoc> {
+    const auto doc = parse_json(s);
+    if (!doc) return std::nullopt;
+    auto sc = testbed::scenario_from_json(*doc);
+    if (!sc) return std::nullopt;
+    return ScenarioDoc{std::move(*sc)};
+  };
   Rng rng(0xF1E1D5);
-  int reports = 0, artifacts = 0;
+  int reports = 0, artifacts = 0, scenario_docs = 0;
   for (const auto& seed : seeds) {
     for (int i = 0; i < 1000; ++i) {
       const std::string mutant = mutate(seed, rng);
       reports += expect_fixed_point(mutant, report);
       artifacts += expect_fixed_point(mutant, artifact);
+      scenario_docs += expect_fixed_point(mutant, scenario);
     }
   }
-  // Both readers accept part of the mutants, so both fixed points ran.
+  // Every reader accepts part of the mutants, so every fixed point ran.
   EXPECT_GT(reports, 0);
   EXPECT_GT(artifacts, 0);
+  EXPECT_GT(scenario_docs, 0);
 }
 
 }  // namespace

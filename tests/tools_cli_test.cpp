@@ -49,6 +49,16 @@ TEST(ToolsCli, HealthRejectsMalformedInvocations) {
   EXPECT_EQ(run_tool("ks_health", "/nonexistent/report.json"), 1);
 }
 
+// A seed or key is a whole decimal or 0x number: a malformed one used to
+// replay whatever prefix strtoull could read (seed 0 for "zz").
+TEST(ToolsCli, SeedAndKeyMustBeWholeNumbers) {
+  EXPECT_EQ(run_tool("ks_explain", "--seed 0x1zz"), 2);
+  EXPECT_EQ(run_tool("ks_explain", "--seed zz"), 2);
+  EXPECT_EQ(run_tool("ks_explain", "--seed 0x1 --key banana"), 2);
+  EXPECT_EQ(run_tool("ks_health", "--seed 0x1zz"), 2);
+  EXPECT_EQ(run_tool("ks_health", "--seed zz"), 2);
+}
+
 TEST(ToolsCli, BenchRejectsMalformedInvocations) {
   EXPECT_EQ(run_tool("ks_bench", "--bogus"), 2);        // Unknown option.
   EXPECT_EQ(run_tool("ks_bench", "--repeat"), 2);       // Missing value.
