@@ -12,17 +12,25 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/parse.hpp"
+
 namespace ks::bench {
 
+/// KS_BENCH_MESSAGES, or `fallback` when it is unset, empty or 0. Throws
+/// std::invalid_argument when it is not a decimal or 0x number.
 inline std::uint64_t messages_per_run(std::uint64_t fallback) {
-  if (const char* env = std::getenv("KS_BENCH_MESSAGES")) {
-    const auto v = std::strtoull(env, nullptr, 10);
-    if (v > 0) return v;
+  const char* env = std::getenv("KS_BENCH_MESSAGES");
+  if (env == nullptr || *env == '\0') return fallback;
+  const auto v = parse_u64(env);
+  if (!v) {
+    throw std::invalid_argument(std::string("KS_BENCH_MESSAGES='") + env +
+                                "' is not a decimal or 0x number");
   }
-  return fallback;
+  return *v > 0 ? *v : fallback;
 }
 
 inline bool full_mode() {

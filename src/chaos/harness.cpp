@@ -1,12 +1,11 @@
 #include "chaos/harness.hpp"
 
-#include <cctype>
-#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <string_view>
 
@@ -281,20 +280,6 @@ Report run(const Options& options) {
   return report;
 }
 
-std::optional<std::uint64_t> parse_u64(std::string_view text) noexcept {
-  int base = 10;
-  if (text.size() > 2 && text[0] == '0' &&
-      (text[1] == 'x' || text[1] == 'X')) {
-    text.remove_prefix(2);
-    base = 16;
-  }
-  std::uint64_t value = 0;
-  const char* end = text.data() + text.size();
-  const auto [p, ec] = std::from_chars(text.data(), end, value, base);
-  if (text.empty() || ec != std::errc{} || p != end) return std::nullopt;
-  return value;
-}
-
 Options options_from_env(Options base) {
   // An unset or empty knob keeps `base`; a malformed one throws.
   const auto knob = [](const char* name) -> std::optional<std::string> {
@@ -328,39 +313,47 @@ Options options_from_env(Options base) {
   return base;
 }
 
-std::vector<std::uint64_t> load_seed_corpus(const std::string& path) {
+namespace {
+
+/// The seeds of a corpus file whose tag is `tag` ("" = untagged lines).
+/// Every other line must be blank, a '#' comment, "<seed>" or
+/// "<profile> <seed>".
+std::vector<std::uint64_t> read_corpus(const std::string& path,
+                                       std::string_view tag) {
   std::vector<std::uint64_t> seeds;
   std::ifstream in(path);
   std::string line;
-  while (std::getline(in, line)) {
-    const auto start = line.find_first_not_of(" \t");
-    if (start == std::string::npos || line[start] == '#') continue;
-    // Profile-tagged lines ("group_faults 0x...") belong to the profile's
-    // own sweep; the untagged loader takes only bare-seed lines.
-    if (std::isdigit(static_cast<unsigned char>(line[start])) == 0) continue;
-    seeds.push_back(std::strtoull(line.c_str() + start, nullptr, 0));
+  for (int number = 1; std::getline(in, line); ++number) {
+    std::istringstream words(line);
+    std::vector<std::string> tokens;
+    for (std::string w; words >> w;) tokens.push_back(w);
+    if (tokens.empty() || tokens[0][0] == '#') continue;
+    const bool tagged =
+        tokens.size() == 2 && obs::enum_from_string<Profile>(tokens[0]);
+    const auto seed = tokens.size() == 1 || tagged
+                          ? parse_u64(tokens.back())
+                          : std::nullopt;
+    if (!seed) {
+      throw std::invalid_argument(
+          path + ":" + std::to_string(number) + ": '" + line +
+          "' is not a decimal or 0x seed, optionally after a profile name");
+    }
+    if ((tagged ? std::string_view(tokens[0]) : std::string_view()) == tag) {
+      seeds.push_back(*seed);
+    }
   }
   return seeds;
 }
 
+}  // namespace
+
+std::vector<std::uint64_t> load_seed_corpus(const std::string& path) {
+  return read_corpus(path, "");
+}
+
 std::vector<std::uint64_t> load_tagged_seed_corpus(const std::string& path,
                                                    std::string_view tag) {
-  std::vector<std::uint64_t> seeds;
-  std::ifstream in(path);
-  std::string line;
-  while (std::getline(in, line)) {
-    const auto start = line.find_first_not_of(" \t");
-    if (start == std::string::npos || line[start] == '#') continue;
-    const auto tag_end = line.find_first_of(" \t", start);
-    if (tag_end == std::string::npos) continue;
-    if (std::string_view(line).substr(start, tag_end - start) != tag) {
-      continue;
-    }
-    const auto seed_start = line.find_first_not_of(" \t", tag_end);
-    if (seed_start == std::string::npos) continue;
-    seeds.push_back(std::strtoull(line.c_str() + seed_start, nullptr, 0));
-  }
-  return seeds;
+  return read_corpus(path, tag);
 }
 
 }  // namespace ks::chaos

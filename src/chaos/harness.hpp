@@ -23,6 +23,7 @@
 
 #include "chaos/generator.hpp"
 #include "chaos/invariants.hpp"
+#include "common/parse.hpp"
 
 namespace ks::chaos {
 
@@ -86,20 +87,17 @@ Report run(const Options& options);
 /// number parse_u64 rejects or a profile name no Profile carries.
 Options options_from_env(Options base = {});
 
-/// A whole decimal or 0x-prefixed hex token whose value fits in 64 bits;
-/// nullopt for anything else (empty, a sign, a trailing character, an
-/// overflow). The one reader of seeds, keys and counts given on a command
-/// line or in the environment.
-std::optional<std::uint64_t> parse_u64(std::string_view text) noexcept;
-
-/// Load a seed corpus: one seed per line (hex 0x... or decimal), '#'
-/// comments and blank lines ignored. Missing file => empty corpus.
-/// Profile-tagged lines ("group_faults 0x...") are skipped — they belong
-/// to the tagged loader below.
+/// Load a seed corpus: one seed per line (hex 0x... or decimal, read by
+/// parse_u64), '#' comments and blank lines ignored. Missing file => empty
+/// corpus. Profile-tagged lines ("group_faults 0x...") are skipped — they
+/// belong to the tagged loader below. Any line that is neither "<seed>"
+/// nor "<profile> <seed>" throws std::invalid_argument naming the file and
+/// line, so a typo never replays a different scenario than the line says.
 std::vector<std::uint64_t> load_seed_corpus(const std::string& path);
 
 /// Load the seeds tagged with one profile name: lines of the form
-/// "<tag> <seed>". Bare-seed and differently-tagged lines are skipped.
+/// "<tag> <seed>". Bare-seed and differently-tagged lines are skipped;
+/// malformed lines throw as in load_seed_corpus.
 std::vector<std::uint64_t> load_tagged_seed_corpus(const std::string& path,
                                                    std::string_view tag);
 

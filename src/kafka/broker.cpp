@@ -258,17 +258,11 @@ void Broker::serve_produce(tcp::Endpoint* endpoint,
   const Duration d = service_time(base);
   // broker.append covers the whole service (parse + append + HW check),
   // parented on the producer attempt's span carried in the request.
-  obs::SpanId append_span = 0;
-  {
-    const auto& req =
-        std::get<ProduceRequest>(static_cast<const Frame*>(payload.get())->body);
-    if (req.trace_span != 0) {
-      append_span = sim_.tracer().begin(
-          sim_.now(), obs::SpanKind::kBrokerAppend,
-          obs::broker_track(config_.id), req.trace_span, obs::kNoKey,
-          static_cast<std::int64_t>(req.records.size()));
-    }
-  }
+  const auto& req =
+      std::get<ProduceRequest>(static_cast<const Frame*>(payload.get())->body);
+  const obs::SpanId append_span = sim_.tracer().child(
+      sim_.now(), obs::SpanKind::kBrokerAppend, obs::broker_track(config_.id),
+      req.trace_span, static_cast<std::int64_t>(req.records.size()));
   // Copy the request shared_ptr into the completion so the records stay
   // alive through the service delay.
   sim_.after(d, [this, endpoint, append_span, payload = std::move(payload)] {
@@ -373,14 +367,12 @@ void Broker::serve_produce(tcp::Endpoint* endpoint,
                                      ? ErrorCode::kDuplicateSequence
                                      : ErrorCode::kNone;
         pending.response.base_offset = result.base_offset;
-        if (append_span != 0) {
-          // commit_wait must begin while the append span is still open so
-          // it inherits the traced key.
-          pending.span = sim_.tracer().begin(
-              sim_.now(), obs::SpanKind::kCommitWait,
-              obs::broker_track(config_.id), append_span, obs::kNoKey, upto);
-          pending.parked_at = sim_.now();
-        }
+        // commit_wait must begin while the append span is still open so it
+        // inherits the traced key.
+        pending.span = sim_.tracer().child(sim_.now(),
+                                           obs::SpanKind::kCommitWait,
+                                           obs::broker_track(config_.id),
+                                           append_span, upto);
         st.pending_acks.push_back(pending);
       }
     } else {
@@ -491,12 +483,9 @@ FetchResponse Broker::build_fetch_response(const FetchRequest& request,
 
 void Broker::serve_fetch(tcp::Endpoint* endpoint,
                          const FetchRequest& request) {
-  obs::SpanId fetch_span = 0;
-  if (request.trace_span != 0) {
-    fetch_span = sim_.tracer().begin(
-        sim_.now(), obs::SpanKind::kBrokerFetch, obs::broker_track(config_.id),
-        request.trace_span, obs::kNoKey, request.offset);
-  }
+  const obs::SpanId fetch_span = sim_.tracer().child(
+      sim_.now(), obs::SpanKind::kBrokerFetch, obs::broker_track(config_.id),
+      request.trace_span, request.offset);
   // Cap the response to what the socket can actually take: an all-or-nothing
   // send of a response larger than the free send-buffer space would be
   // rejected and silently lost, leaving the fetcher to time out forever.
@@ -505,22 +494,26 @@ void Broker::serve_fetch(tcp::Endpoint* endpoint,
   const Bytes budget =
       std::min<Bytes>(config_.fetch_max_bytes, endpoint->send_buffer_free());
   FetchResponse response = build_fetch_response(request, budget);
-  const Duration base = config_.fetch_overhead +
-                        static_cast<Duration>(std::llround(
-                            static_cast<double>(response.wire_size()) *
-                            config_.fetch_per_byte_us));
+  const Bytes wire = response.wire_size();
+  const Duration base =
+      config_.fetch_overhead +
+      static_cast<Duration>(std::llround(static_cast<double>(wire) *
+                                         config_.fetch_per_byte_us));
   const Duration d = service_time(base);
-  sim_.after(d, [this, endpoint, fetch_span,
-                 response = std::move(response)]() mutable {
+  // The completion holds the built frame, which keeps it within
+  // sim::Callback's inline storage.
+  sim_.after(d, [this, endpoint, fetch_span, wire,
+                 frame = make_frame(std::move(response))]() mutable {
     if (powered_off_) {
       busy_ = false;
       return;
     }
     ++stats_.fetch_requests;
-    sim_.tracer().end(sim_.now(), fetch_span,
-                      static_cast<std::int64_t>(response.records.size()));
-    const Bytes wire = response.wire_size();
-    endpoint->send(tcp::AppMessage{wire, make_frame(std::move(response))});
+    sim_.tracer().end(
+        sim_.now(), fetch_span,
+        static_cast<std::int64_t>(
+            std::get<FetchResponse>(frame->body).records.size()));
+    endpoint->send(tcp::AppMessage{wire, std::move(frame)});
     busy_ = false;
     pump();
   });

@@ -215,7 +215,6 @@ class Broker {
     tcp::Endpoint* endpoint = nullptr;
     ProduceResponse response;
     obs::SpanId span = 0;      ///< broker.commit_wait (0 = untraced).
-    TimePoint parked_at = 0;
   };
 
   struct PartitionState {

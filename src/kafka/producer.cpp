@@ -248,9 +248,8 @@ bool Producer::send_batch(std::uint64_t batch_id) {
                               static_cast<std::int64_t>(batch_id));
   }
   const obs::SpanId attempt_span =
-      tracer.begin(sim_.now(), obs::SpanKind::kProduceAttempt,
-                   obs::kTrackProducer, batch.span, obs::kNoKey,
-                   batch.attempt + 1);
+      tracer.child(sim_.now(), obs::SpanKind::kProduceAttempt,
+                   obs::kTrackProducer, batch.span, batch.attempt + 1);
 
   ProduceRequest req = batch.request;
   req.id = next_request_id_;

@@ -37,11 +37,12 @@ HealthMonitor::HealthMonitor(HealthConfig config, ClusterTimeline* timeline)
   config_.flap_window = std::max<std::size_t>(config_.flap_window, 2);
 }
 
-TimeSeries& HealthMonitor::series_named(const std::string& name) {
+TimeSeries& HealthMonitor::series_named(std::string_view name) {
   for (auto& s : series_) {
     if (s.name() == name) return s;
   }
-  series_.emplace_back(name, config_.interval, config_.series_capacity);
+  series_.emplace_back(std::string(name), config_.interval,
+                       config_.series_capacity);
   return series_.back();
 }
 

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -225,7 +226,7 @@ class HealthMonitor {
     std::uint64_t pressure_ticks = 0;
   };
 
-  TimeSeries& series_named(const std::string& name);
+  TimeSeries& series_named(std::string_view name);
   void open_alert(TimePoint t, HealthDetector detector, std::int32_t partition,
                   std::int32_t broker, std::uint64_t windows);
   void resolve_alert(TimePoint t, HealthDetector detector,

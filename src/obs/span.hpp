@@ -11,14 +11,16 @@
 // Discipline mirrors MessageTrace: root spans are sampled by key
 // (key % sample_every == 0), completed spans live in an obs::Ring that
 // overwrites oldest-first, and a disabled tracer costs one
-// branch per call site. A child span is recorded iff its parent was
-// (SpanId 0 = "not recorded" propagates down the chain for free), so
-// unsampled keys never allocate anywhere below the root either.
+// branch per call site. A child span is recorded iff its parent was:
+// child() returns 0 for parent 0 (SpanId 0 = "not recorded"), so the rule
+// holds in one place and an unsampled key costs one branch at each stage
+// below its root, with nothing recorded or allocated.
 //
 // All timestamps are sim-time; the tracer holds no host state, which is
 // what keeps exports byte-identical across replays.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -86,15 +88,26 @@ class SpanTracer {
            (key == kNoKey || key % sample_every_ == 0);
   }
 
-  /// Open a span. Roots (parent == 0) are recorded iff `key` is sampled;
-  /// children (parent != 0) are always recorded and inherit the parent's
-  /// key when none is given. Returns 0 when nothing was recorded. Inline,
-  /// so that a disabled tracer costs its call sites one branch, no call.
+  /// Open a root span, recorded iff `key` is sampled; returns 0 when
+  /// nothing was recorded. Roots only: a stage below a root opens its span
+  /// with child(). `no_parent` must be 0; it keeps the argument order of
+  /// callers that pass (0, key), perfbench's span driver among them.
+  /// Inline, so that a disabled tracer costs its call sites one branch.
   SpanId begin(TimePoint t, SpanKind kind, std::int32_t track,
-               SpanId parent = 0, std::uint64_t key = kNoKey,
-               std::int64_t detail = 0) {
+               [[maybe_unused]] SpanId no_parent = 0,
+               std::uint64_t key = kNoKey, std::int64_t detail = 0) {
+    assert(no_parent == 0);
     if (sample_every_ == 0) return 0;
-    return record(t, kind, track, parent, key, detail);
+    return record(t, kind, track, 0, key, detail);
+  }
+
+  /// Open a child of `parent` that inherits its key, or nothing (0) when
+  /// the parent was not recorded: the one check behind "a child is
+  /// recorded iff its parent was".
+  SpanId child(TimePoint t, SpanKind kind, std::int32_t track, SpanId parent,
+               std::int64_t detail = 0) {
+    if (parent == 0) return 0;
+    return record(t, kind, track, parent, kNoKey, detail);
   }
 
   /// Close a span (no-op for id 0 / unknown ids). The variant with

@@ -39,12 +39,8 @@ Endpoint::Endpoint(sim::Simulation& sim, Config config, net::Link& tx,
 void Endpoint::fresh_epoch_state() {
   // Anything still buffered dies with the epoch; close its flight spans at
   // the reset point so the timeline shows where the bytes were lost.
-  for (const auto& [end, meta] : out_msgs_) {
-    sim_.tracer().end(sim_.now(), meta.flight_span);
-  }
-  for (const auto& [end, meta] : in_msgs_) {
-    sim_.tracer().end(sim_.now(), meta.flight_span);
-  }
+  for (const auto& m : out_msgs_) sim_.tracer().end(sim_.now(), m.flight_span);
+  for (const auto& m : in_msgs_) sim_.tracer().end(sim_.now(), m.flight_span);
   snd_una_ = snd_nxt_ = stream_end_ = 0;
   out_msgs_.clear();
   peer_sacked_.clear();
@@ -98,15 +94,10 @@ bool Endpoint::send(AppMessage message) {
   }
   if (send_buffer_free() < message.size) return false;
   stream_end_ += message.size;
-  // Flight spans only exist under a parent (produce attempt / fetch): an
-  // unparented message would otherwise become a kNoKey root, and the
-  // replica-fetch chatter records thousands of those per run.
-  const auto flight =
-      message.span == 0
-          ? obs::SpanId{0}
-          : sim_.tracer().begin(sim_.now(), obs::SpanKind::kTcpFlight,
-                                obs::kTrackNet, message.span);
-  out_msgs_.emplace(stream_end_, MsgMeta{std::move(message.payload), flight});
+  const auto flight = sim_.tracer().child(
+      sim_.now(), obs::SpanKind::kTcpFlight, obs::kTrackNet, message.span);
+  out_msgs_.push_back(
+      StreamMessage{stream_end_, std::move(message.payload), flight});
   ++stats_.messages_sent;
   maybe_send();
   return true;
@@ -129,9 +120,8 @@ void Endpoint::maybe_send() {
     if (in_flight >= window) break;
     Bytes len = std::min({config_.mss, stream_end_ - snd_nxt_,
                           window - in_flight});
-    auto next_end = out_msgs_.upper_bound(snd_nxt_);
-    if (next_end != out_msgs_.end()) {
-      len = std::min(len, next_end->first - snd_nxt_);
+    if (const auto* next = out_msgs_.first_ending_after(snd_nxt_)) {
+      len = std::min(len, next->end - snd_nxt_);
     }
     if (len <= 0) break;
     send_segment(snd_nxt_, len, /*is_retransmission=*/false);
@@ -177,11 +167,12 @@ void Endpoint::send_segment(StreamOffset seq, Bytes len,
   seg->wnd = advertised_window();
   last_advertised_wnd_ = seg->wnd;
   fill_sack_blocks(*seg);
-  // Attach metadata for every app message ending inside (seq, seq+len].
-  for (auto it = out_msgs_.upper_bound(seq);
-       it != out_msgs_.end() && it->first <= seq + len; ++it) {
-    seg->message_ends.push_back(
-        MessageEnd{it->first, it->second.payload, it->second.flight_span});
+  // Segments are cut at message boundaries, so a message ending inside
+  // (seq, seq + len] ends exactly at seq + len.
+  const auto* m = out_msgs_.first_ending_after(seq);
+  if (m != nullptr && m->end <= seq + len) {
+    assert(m->end == seq + len);
+    seg->message_end = MessageEnd{m->payload, m->flight_span};
   }
 
   ++stats_.segments_sent;
@@ -216,21 +207,17 @@ void Endpoint::retransmit_lost() {
   StreamOffset seq = snd_una_;
   while (seq < snd_nxt_) {
     // Skip a SACKed range covering seq, if any.
-    auto it = peer_sacked_.upper_bound(seq);
-    if (it != peer_sacked_.begin()) {
-      auto prev = std::prev(it);
-      if (prev->second > seq) {
-        seq = prev->second;
-        continue;
-      }
+    const auto it = peer_sacked_.first_starting_after(seq);
+    if (it != peer_sacked_.begin() && std::prev(it)->end > seq) {
+      seq = std::prev(it)->end;
+      continue;
     }
     Bytes len = std::min(config_.mss, snd_nxt_ - seq);
     if (it != peer_sacked_.end()) {
-      len = std::min(len, it->first - seq);  // Stop at the next SACK block.
+      len = std::min(len, it->start - seq);  // Stop at the next SACK block.
     }
-    auto next_end = out_msgs_.upper_bound(seq);
-    if (next_end != out_msgs_.end()) {
-      len = std::min(len, next_end->first - seq);
+    if (const auto* next = out_msgs_.first_ending_after(seq)) {
+      len = std::min(len, next->end - seq);
     }
     if (len <= 0) break;
     send_segment(seq, len, /*is_retransmission=*/true);
@@ -277,21 +264,9 @@ void Endpoint::update_rtt(Duration sample) {
 }
 
 void Endpoint::handle_sack(const Segment& seg) {
-  for (const auto& [start, end] : seg.sack) {
-    if (end <= snd_una_ || start >= snd_nxt_) continue;
-    StreamOffset s = std::max(start, snd_una_);
-    StreamOffset e = end;
-    auto it = peer_sacked_.lower_bound(s);
-    if (it != peer_sacked_.begin()) {
-      auto prev = std::prev(it);
-      if (prev->second >= s) it = prev;
-    }
-    while (it != peer_sacked_.end() && it->first <= e) {
-      s = std::min(s, it->first);
-      e = std::max(e, it->second);
-      it = peer_sacked_.erase(it);
-    }
-    peer_sacked_.emplace(s, e);
+  for (const auto& block : seg.sack_blocks()) {
+    if (block.end <= snd_una_ || block.start >= snd_nxt_) continue;
+    peer_sacked_.add(std::max(block.start, snd_una_), block.end);
   }
 }
 
@@ -300,14 +275,10 @@ void Endpoint::handle_ack(StreamOffset ack) {
     const Bytes acked = ack - snd_una_;
     snd_una_ = ack;
     stats_.bytes_acked += acked;
-    out_msgs_.erase(out_msgs_.begin(), out_msgs_.upper_bound(ack));
-    peer_sacked_.erase(peer_sacked_.begin(),
-                       peer_sacked_.lower_bound(ack));
-    if (!peer_sacked_.empty() && peer_sacked_.begin()->first < ack) {
-      auto range = *peer_sacked_.begin();
-      peer_sacked_.erase(peer_sacked_.begin());
-      if (range.second > ack) peer_sacked_.emplace(ack, range.second);
+    while (!out_msgs_.empty() && out_msgs_.front().end <= ack) {
+      out_msgs_.pop_front();
     }
+    peer_sacked_.trim_below(ack);
     dupacks_ = 0;
     consecutive_rtos_ = 0;
 
@@ -368,32 +339,22 @@ void Endpoint::handle_data(const Segment& seg) {
 
   // Stash message metadata; duplicates from retransmissions are no-ops and
   // anything at or below the delivery watermark was already handed up.
-  for (const auto& m : seg.message_ends) {
-    if (m.end_offset > last_delivered_end_) {
-      in_msgs_.emplace(m.end_offset, MsgMeta{m.payload, m.flight_span});
-    }
+  if (seg.message_end && end > last_delivered_end_) {
+    in_msgs_.insert(StreamMessage{end, seg.message_end->payload,
+                                  seg.message_end->flight_span});
   }
 
   if (end > rcv_nxt_) {
-    // Merge [start, end) into the out-of-order range set.
-    StreamOffset s = std::max(start, rcv_nxt_);
-    StreamOffset e = end;
-    auto it = ooo_ranges_.lower_bound(s);
-    if (it != ooo_ranges_.begin()) {
-      auto prev = std::prev(it);
-      if (prev->second >= s) it = prev;
-    }
-    while (it != ooo_ranges_.end() && it->first <= e) {
-      s = std::min(s, it->first);
-      e = std::max(e, it->second);
-      it = ooo_ranges_.erase(it);
-    }
-    ooo_ranges_.emplace(s, e);
-
-    // Advance rcv_nxt over contiguous ranges.
-    while (!ooo_ranges_.empty() && ooo_ranges_.begin()->first <= rcv_nxt_) {
-      rcv_nxt_ = std::max(rcv_nxt_, ooo_ranges_.begin()->second);
-      ooo_ranges_.erase(ooo_ranges_.begin());
+    if (start <= rcv_nxt_) {
+      // In order: advance without a scoreboard entry, then over any
+      // out-of-order ranges the new bytes reach.
+      rcv_nxt_ = end;
+      while (!ooo_ranges_.empty() && ooo_ranges_.front().start <= rcv_nxt_) {
+        rcv_nxt_ = std::max(rcv_nxt_, ooo_ranges_.front().end);
+        ooo_ranges_.pop_front();
+      }
+    } else {
+      ooo_ranges_.add(start, end);
     }
     deliver_ready_messages();
   }
@@ -406,18 +367,16 @@ void Endpoint::handle_data(const Segment& seg) {
 
 void Endpoint::deliver_ready_messages() {
   bool was_empty = ready_.empty();
-  while (!in_msgs_.empty() && in_msgs_.begin()->first <= rcv_nxt_) {
-    const StreamOffset end = in_msgs_.begin()->first;
-    auto payload = std::move(in_msgs_.begin()->second.payload);
-    sim_.tracer().end(sim_.now(), in_msgs_.begin()->second.flight_span);
-    in_msgs_.erase(in_msgs_.begin());
-    const Bytes size = end - last_delivered_end_;
-    last_delivered_end_ = end;
+  while (!in_msgs_.empty() && in_msgs_.front().end <= rcv_nxt_) {
+    StreamMessage m = in_msgs_.pop_front();
+    sim_.tracer().end(sim_.now(), m.flight_span);
+    const Bytes size = m.end - last_delivered_end_;
+    last_delivered_end_ = m.end;
     ++stats_.messages_delivered;
     if (auto_read_) {
-      if (on_message) on_message(std::move(payload));
+      if (on_message) on_message(std::move(m.payload));
     } else {
-      ready_.push_back(ReadMessage{size, std::move(payload)});
+      ready_.push_back(ReadMessage{size, std::move(m.payload)});
       unread_bytes_ += size;
     }
   }
@@ -428,8 +387,7 @@ void Endpoint::deliver_ready_messages() {
 
 std::optional<Endpoint::ReadMessage> Endpoint::read() {
   if (ready_.empty()) return std::nullopt;
-  ReadMessage msg = std::move(ready_.front());
-  ready_.pop_front();
+  ReadMessage msg = ready_.pop_front();
   unread_bytes_ -= msg.size;
   // If the window had (nearly) closed and reading reopened it, tell the
   // peer — its persist probes would discover this eventually, but an
@@ -446,11 +404,10 @@ Bytes Endpoint::advertised_window() const noexcept {
 }
 
 void Endpoint::fill_sack_blocks(Segment& seg) const {
-  // Up to four most-recent out-of-order ranges, like real SACK options.
-  constexpr std::size_t kMaxBlocks = 4;
+  // Up to four out-of-order ranges, lowest first, like real SACK options.
   for (auto it = ooo_ranges_.begin();
-       it != ooo_ranges_.end() && seg.sack.size() < kMaxBlocks; ++it) {
-    seg.sack.emplace_back(it->first, it->second);
+       it != ooo_ranges_.end() && seg.sack_count < kMaxSackBlocks; ++it) {
+    seg.sack[seg.sack_count++] = *it;
   }
 }
 

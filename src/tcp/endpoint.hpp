@@ -21,9 +21,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -33,6 +31,7 @@
 #include "net/link.hpp"
 #include "obs/metrics.hpp"
 #include "sim/simulation.hpp"
+#include "tcp/scoreboard.hpp"
 #include "tcp/segment.hpp"
 
 namespace ks::tcp {
@@ -191,15 +190,9 @@ class Endpoint {
   // ---- sender state ----
   StreamOffset snd_una_ = 0;   ///< Oldest unacked byte.
   StreamOffset snd_nxt_ = 0;   ///< Next byte to transmit.
-  std::map<StreamOffset, StreamOffset> peer_sacked_;  ///< start -> end.
+  RangeSet peer_sacked_;       ///< Ranges the peer has SACKed.
   StreamOffset stream_end_ = 0;///< One past the last byte accepted from app.
-  /// Per-message bookkeeping riding the stream: opaque payload plus the
-  /// message's open tcp.flight span (0 = untraced).
-  struct MsgMeta {
-    std::shared_ptr<const void> payload;
-    std::uint64_t flight_span = 0;
-  };
-  std::map<StreamOffset, MsgMeta> out_msgs_;  ///< msg end offset -> meta.
+  MessageQueue out_msgs_;      ///< Accepted messages not yet acked.
   double cwnd_ = 0;            ///< Congestion window, bytes.
   double ssthresh_ = 0;
   /// EWMA of outgoing segment wire size. Linux denominates cwnd in packets;
@@ -222,10 +215,10 @@ class Endpoint {
 
   // ---- receiver state ----
   StreamOffset rcv_nxt_ = 0;
-  std::map<StreamOffset, StreamOffset> ooo_ranges_;  ///< start -> end.
-  std::map<StreamOffset, MsgMeta> in_msgs_;  ///< msg end offset -> meta.
+  RangeSet ooo_ranges_;        ///< Received bytes beyond rcv_nxt_.
+  MessageQueue in_msgs_;       ///< Received message ends not yet delivered.
   bool auto_read_ = true;
-  std::deque<ReadMessage> ready_;
+  Fifo<ReadMessage> ready_;
   Bytes unread_bytes_ = 0;
   StreamOffset last_delivered_end_ = 0;
   Bytes last_advertised_wnd_ = 0;

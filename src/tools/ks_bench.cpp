@@ -15,12 +15,17 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <system_error>
 #include <vector>
 
 #include "bench_core/registry.hpp"
 #include "bench_core/run_bench.hpp"
+#include "bench_core/util.hpp"
+#include "common/parse.hpp"
 
 namespace {
 
@@ -44,6 +49,15 @@ int usage(const char* argv0) {
   return 2;
 }
 
+/// A repetition count: a whole decimal or 0x number that fits in an int.
+std::optional<int> count_arg(const char* text) {
+  const auto n = parse_u64(text);
+  if (!n || *n > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
+    return std::nullopt;
+  }
+  return static_cast<int>(*n);
+}
+
 bool artifacts_enabled_env() {
   const char* env = std::getenv("KS_BENCH_ARTIFACTS");
   return env == nullptr || env[0] != '0';
@@ -65,11 +79,13 @@ int main(int argc, char** argv) {
     if (arg == "--list") {
       list = true;
     } else if (arg == "--repeat" && i + 1 < argc) {
-      options.repeat = std::atoi(argv[++i]);
-      if (options.repeat < 1) return usage(argv[0]);
+      const auto n = count_arg(argv[++i]);
+      if (!n || *n < 1) return usage(argv[0]);
+      options.repeat = *n;
     } else if (arg == "--warmup" && i + 1 < argc) {
-      warmup = std::atoi(argv[++i]);
-      if (warmup < 0) return usage(argv[0]);
+      const auto n = count_arg(argv[++i]);
+      if (!n) return usage(argv[0]);
+      warmup = *n;
     } else if (arg == "--out" && i + 1 < argc) {
       out_dir = argv[++i];
     } else if (arg == "--no-profile") {
@@ -85,6 +101,12 @@ int main(int argc, char** argv) {
     }
   }
   options.warmup = warmup >= 0 ? warmup : (options.repeat > 1 ? 1 : 0);
+  try {
+    bench::messages_per_run(0);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "ks_bench: %s\n", e.what());
+    return 2;
+  }
 
   const auto& registry = bench::bench_registry();
   if (list) {

@@ -62,7 +62,7 @@ Args parse_args(int argc, char** argv) {
     const auto number = [&](std::optional<std::uint64_t>& out) {
       const char* flag = argv[i];
       const char* v = value();
-      out = chaos::parse_u64(v);
+      out = parse_u64(v);
       if (!out && args.ok) {
         std::fprintf(stderr,
                      "ks_health: %s takes a decimal or 0x number, not '%s'\n",

@@ -6,7 +6,9 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -14,6 +16,7 @@
 #include "bench_core/diff.hpp"
 #include "bench_core/registry.hpp"
 #include "bench_core/run_bench.hpp"
+#include "bench_core/util.hpp"
 #include "obs/json_fields.hpp"
 #include "obs/profiler.hpp"
 
@@ -197,6 +200,25 @@ Artifact make_artifact(const std::string& name, double wall_mean) {
   a.points.push_back(
       {{{"k", 1.0}}, {{"p_loss", Stat{0.01, 0.001}}}});
   return a;
+}
+
+// KS_BENCH_MESSAGES is a whole decimal or 0x number: strtoull read "5k"
+// as 5 and "zz" as 0 (the bench default), so a typo silently resized
+// every run.
+TEST(RunBench, MessagesKnobIsAWholeNumber) {
+  ::unsetenv("KS_BENCH_MESSAGES");
+  EXPECT_EQ(bench::messages_per_run(300), 300u);
+  ::setenv("KS_BENCH_MESSAGES", "4000", 1);
+  EXPECT_EQ(bench::messages_per_run(300), 4000u);
+  ::setenv("KS_BENCH_MESSAGES", "0x10", 1);
+  EXPECT_EQ(bench::messages_per_run(300), 16u);
+  ::setenv("KS_BENCH_MESSAGES", "0", 1);
+  EXPECT_EQ(bench::messages_per_run(300), 300u) << "0 keeps the default";
+  for (const char* bad : {"5k", "zz", "-1", " 300", "1e4"}) {
+    ::setenv("KS_BENCH_MESSAGES", bad, 1);
+    EXPECT_THROW(bench::messages_per_run(300), std::invalid_argument) << bad;
+  }
+  ::unsetenv("KS_BENCH_MESSAGES");
 }
 
 TEST(Diff, IdenticalSetsProduceNoFindings) {

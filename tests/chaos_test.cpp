@@ -8,7 +8,9 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <fstream>
 #include <limits>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -246,6 +248,44 @@ TEST(Chaos, ParseU64TakesWholeDecimalOrHexTokensOnly) {
   }
 }
 
+// A corpus line is "<seed>" or "<profile> <seed>" with the seed read like
+// KS_CHAOS_SEED: a malformed line throws and names its line, and a
+// leading zero is decimal (strtoull base 0 read 012 as octal 10).
+TEST(Chaos, SeedCorpusRejectsMalformedLines) {
+  const auto write = [](const std::string& body) {
+    const std::string path = ::testing::TempDir() + "ks_chaos_corpus.txt";
+    std::ofstream(path) << body;
+    return path;
+  };
+  const auto good = write(
+      "# comment\n\n012\n  0x1F \ngroup_faults 0x2c\ndisk_faults 7\n");
+  EXPECT_EQ(load_seed_corpus(good), (std::vector<std::uint64_t>{12, 0x1F}));
+  EXPECT_EQ(load_tagged_seed_corpus(good, "group_faults"),
+            (std::vector<std::uint64_t>{0x2c}));
+  EXPECT_EQ(load_tagged_seed_corpus(good, "disk_faults"),
+            (std::vector<std::uint64_t>{7}));
+  for (const char* bad :
+       {"0x1zz", "99999999999999999999", "-1", "0x12 0x34", "zz",
+        "group_faults", "group_faults 0x1zz", "banana 0x5",
+        "group_faults 0x1 0x2"}) {
+    const auto path = write("0x5\n" + std::string(bad) + "\n");
+    for (const char* tag : {"", "group_faults"}) {
+      try {
+        if (*tag == '\0') {
+          load_seed_corpus(path);
+        } else {
+          load_tagged_seed_corpus(path, tag);
+        }
+        ADD_FAILURE() << "accepted '" << bad << "'";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(path + ":2:"),
+                  std::string::npos)
+            << "the error should name line 2: " << e.what();
+      }
+    }
+  }
+}
+
 TEST(Chaos, TaggedSeedCorpusParses) {
   const auto group = load_tagged_seed_corpus(corpus_path(), "group_faults");
   ASSERT_GE(group.size(), 4u);
@@ -344,17 +384,42 @@ TEST(Chaos, GroupFaultsSweepHoldsInvariants) {
   EXPECT_GT(report.replay_checks, 0u);
 }
 
+// The adaptive soak's length: KS_CHAOS_ITERS / 8 (read like the sweep's
+// knob, so a malformed value throws), clamped to [48, 4096]; 48 when unset.
+std::uint64_t adaptive_soak_iterations() {
+  Options base;
+  base.iterations = 48 * 8;
+  return std::clamp<std::uint64_t>(options_from_env(base).iterations / 8, 48,
+                                   4096);
+}
+
+// The soak runs of this suite set KS_CHAOS_ITERS themselves, so the test
+// sets every value it reads and puts the inherited one back.
+TEST(ChaosAdaptive, SoakLengthReadsTheIterationsKnobStrictly) {
+  const char* inherited = std::getenv("KS_CHAOS_ITERS");
+  const std::optional<std::string> saved =
+      inherited ? std::optional<std::string>(inherited) : std::nullopt;
+  ::unsetenv("KS_CHAOS_ITERS");
+  EXPECT_EQ(adaptive_soak_iterations(), 48u);
+  ::setenv("KS_CHAOS_ITERS", "0x1000", 1);
+  EXPECT_EQ(adaptive_soak_iterations(), 512u);
+  ::setenv("KS_CHAOS_ITERS", "5k", 1);
+  EXPECT_THROW(adaptive_soak_iterations(), std::invalid_argument)
+      << "5k used to run the default 48 iterations";
+  if (saved) {
+    ::setenv("KS_CHAOS_ITERS", saved->c_str(), 1);
+  } else {
+    ::unsetenv("KS_CHAOS_ITERS");
+  }
+}
+
 // Adaptive soak: every non-benign net-fault scenario with the online
 // controller force-armed (not just the generator's 25% draw), so the
 // passivity/no-thrash/accounting invariants and the controller's whole
 // estimate->choose->clamp->apply path run against the full breadth of
 // loss/delay/bandwidth schedules. KS_CHAOS_ITERS scales the sweep.
 TEST(ChaosAdaptive, NetFaultSweepHoldsInvariantsWithControllerForcedOn) {
-  std::uint64_t iterations = 48;
-  if (const char* e = std::getenv("KS_CHAOS_ITERS")) {
-    iterations = std::clamp<std::uint64_t>(std::strtoull(e, nullptr, 0) / 8,
-                                           48, 4096);
-  }
+  const std::uint64_t iterations = adaptive_soak_iterations();
   std::uint64_t armed = 0, ticks = 0, evaluations = 0, applied = 0;
   for (std::uint64_t i = 0; i < iterations; ++i) {
     auto cs = generate_scenario(scenario_seed(0xADA75EEDu, i));

@@ -52,16 +52,22 @@ TEST(SpanTracer, ChildFollowsParentAndInheritsKey) {
       tracer.begin(1, SpanKind::kProduceAttempt, kTrackProducer, 0, 8);
   ASSERT_NE(root, 0u);
   const auto child =
-      tracer.begin(2, SpanKind::kBrokerAppend, broker_track(0), root);
+      tracer.child(2, SpanKind::kBrokerAppend, broker_track(0), root);
   ASSERT_NE(child, 0u);
   // A root with an unsampled key is unrecorded — and because SpanId 0
   // propagates as the parent down the chain, so is everything below it.
-  EXPECT_EQ(tracer.begin(2, SpanKind::kBrokerAppend, broker_track(0), 0, 3),
-            0u);
+  const auto unsampled =
+      tracer.begin(2, SpanKind::kProduceBatch, kTrackProducer, 0, 3);
+  EXPECT_EQ(unsampled, 0u);
+  EXPECT_EQ(tracer.child(2, SpanKind::kProduceAttempt, kTrackProducer,
+                         unsampled),
+            0u)
+      << "a child of an unrecorded parent must not become a kNoKey root";
+  EXPECT_EQ(tracer.started(), 2u);
   // A nonzero parent that is no longer open (already closed or evicted) is
   // still recorded — spans() later promotes it to a root — but there is no
   // open parent to inherit a key from.
-  const auto late = tracer.begin(3, SpanKind::kCommitWait, broker_track(0),
+  const auto late = tracer.child(3, SpanKind::kCommitWait, broker_track(0),
                                  /*parent=*/999999u);
   EXPECT_NE(late, 0u);
   tracer.cancel(late);
@@ -107,9 +113,9 @@ TEST(SpanTracer, RingEvictionKeepsForestWellFormed) {
     const auto root =
         tracer.begin(t0, SpanKind::kProduceAttempt, kTrackProducer, 0, k);
     const auto child =
-        tracer.begin(t0 + 1, SpanKind::kBrokerAppend, broker_track(0), root);
+        tracer.child(t0 + 1, SpanKind::kBrokerAppend, broker_track(0), root);
     const auto grandchild =
-        tracer.begin(t0 + 2, SpanKind::kCommitWait, broker_track(0), child);
+        tracer.child(t0 + 2, SpanKind::kCommitWait, broker_track(0), child);
     tracer.end(t0 + 3, grandchild);
     tracer.end(t0 + 4, child);
     tracer.end(t0 + 5, root);
@@ -241,6 +247,57 @@ TEST(PerfettoExport, ExperimentSpanForestIsWellFormed) {
   EXPECT_TRUE(kinds.count("broker.append"));
   // And the consumer drain contributes fetch spans.
   EXPECT_TRUE(kinds.count("consumer.fetch"));
+}
+
+// At scale an unsampled batch leaves no span behind. Scenario defaults at
+// N = 128k (one key in 2,000 sampled): the ring keeps every span it is
+// given, every produce-side stage hangs off a sampled produce.batch root or
+// a kNoKey consumer.fetch root, and every sampled key the producer sent
+// keeps its root. Recording each batch's attempt as a kNoKey root instead
+// evicted 328k spans here and kept no batch root.
+TEST(PerfettoExport, SampledChainsFitTheRingAtScale) {
+  testbed::Scenario sc;
+  sc.seed = 1;
+  sc.num_messages = 128000;
+  const auto result = testbed::run_experiment(sc);
+  const auto& report = result.report;
+  ASSERT_GT(report.span_sample_every, 1u);
+  EXPECT_EQ(report.spans_dropped, 0u);
+  ASSERT_EQ(report.trace_dropped, 0u) << "sent keys are read off the trace";
+
+  std::map<SpanId, const Span*> by_id;
+  for (const auto& s : report.spans) by_id.emplace(s.id, &s);
+  std::set<std::uint64_t> rooted_keys;
+  for (const auto& s : report.spans) {
+    if (s.kind == SpanKind::kProduceBatch && s.parent == 0) {
+      rooted_keys.insert(s.key);
+    }
+    if (s.kind != SpanKind::kProduceAttempt && s.kind != SpanKind::kTcpFlight &&
+        s.kind != SpanKind::kBrokerAppend && s.kind != SpanKind::kCommitWait) {
+      continue;
+    }
+    const Span* root = &s;
+    while (root->parent != 0) root = by_id.at(root->parent);
+    const bool sampled_batch = root->kind == SpanKind::kProduceBatch &&
+                               root->key % report.span_sample_every == 0;
+    const bool fetch = root->kind == SpanKind::kConsumerFetch &&
+                       root->key == kNoKey;
+    EXPECT_TRUE(sampled_batch || fetch)
+        << to_string(s.kind) << " span " << s.id << " has root "
+        << to_string(root->kind) << " with key " << root->key;
+  }
+
+  std::set<std::uint64_t> sent_keys;
+  for (const auto& e : report.trace) {
+    if (e.event == TraceEvent::kSendAttempt &&
+        e.key % report.span_sample_every == 0) {
+      sent_keys.insert(e.key);
+    }
+  }
+  ASSERT_FALSE(sent_keys.empty());
+  for (const auto key : sent_keys) {
+    EXPECT_EQ(rooted_keys.count(key), 1u) << "sampled key " << key;
+  }
 }
 
 // Acceptance: ks_explain on the pinned acked-loss corpus seeds must tell

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "net/link.hpp"
+#include "obs/profiler.hpp"
 #include "tcp/endpoint.hpp"
 
 namespace ks::tcp {
@@ -97,6 +98,47 @@ TEST(Tcp, DeliversInOrder) {
   rig.sim.run();
   ASSERT_EQ(tags.size(), 50u);
   for (int i = 0; i < 50; ++i) EXPECT_EQ(tags[static_cast<std::size_t>(i)], i);
+}
+
+// Once warm, the wire path allocates one block per segment and nothing
+// else: the message queues, scoreboards and read FIFO keep their capacity,
+// and a segment carries its SACK blocks and message end inline. 10k
+// messages sharing one payload, after a warm-up that sizes all of it, make
+// one allocation per segment either side sends, plus a few for capacity
+// that grows once (one here).
+TEST(Tcp, WarmPairAllocatesOnlyItsSegments) {
+  const auto setup = obs::profiler().snapshot();
+  Rig rig;
+  if (obs::profiler().snapshot().since(setup).alloc_count == 0) {
+    GTEST_SKIP() << "allocation counting is off in this build";
+  }
+  rig.establish();
+  int delivered = 0;
+  rig.pair.server.on_message = [&](std::shared_ptr<const void>) {
+    ++delivered;
+  };
+  const auto payload = std::make_shared<int>(7);
+  const auto carry = [&](int n) {
+    for (int sent = 0; sent < n; rig.sim.run_for(millis(2))) {
+      while (sent < n && rig.pair.client.send(AppMessage{200, payload})) {
+        ++sent;
+      }
+    }
+    rig.sim.run_for(seconds(1));
+  };
+  const auto segments = [&] {
+    return rig.pair.client.stats().segments_sent +
+           rig.pair.server.stats().segments_sent;
+  };
+  carry(1000);  // Warm-up.
+  const auto start = obs::profiler().snapshot();
+  const std::uint64_t segments_before = segments();
+  carry(10000);
+  const auto allocs = obs::profiler().snapshot().since(start).alloc_count;
+  const std::uint64_t sent = segments() - segments_before;
+  EXPECT_EQ(delivered, 11000);
+  EXPECT_LE(allocs, sent + 8) << allocs << " allocations for " << sent
+                          << " segments carrying 10k messages";
 }
 
 TEST(Tcp, LargeMessageSpansSegments) {

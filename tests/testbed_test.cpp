@@ -128,6 +128,56 @@ TEST(Experiment, AllocatedBytesPerMessageStayFlat) {
       << "bytes/msg: " << small << " at N=4000, " << large << " at N=32000";
 }
 
+// Allocation budgets (counts, not time) for perfbench's three shapes at
+// small N: the wire path allocates one block per segment and per frame
+// and nothing else per message, so what is left beside those blocks is
+// per-batch producer bookkeeping, the log's stored batches and per-run
+// set-up. These runs make 20.3, 48.4 and 394 allocations per message;
+// before contiguous TCP queues, inline SACK blocks and message ends, and
+// child spans that follow their parent they made 36.6, 97.8 and 935.
+double allocs_per_message(const Scenario& sc) {
+  const auto r = run_experiment(sc);
+  EXPECT_TRUE(r.completed);
+  return static_cast<double>(r.report.perf.alloc_count) /
+         static_cast<double>(sc.num_messages);
+}
+
+TEST(Experiment, AllocationsPerMessageStayWithinBudget) {
+  Scenario paper;  // perfbench paper_scale: Scenario defaults.
+  paper.seed = 1;
+  paper.num_messages = 4000;
+  const double paper_allocs = allocs_per_message(paper);
+  if (paper_allocs == 0.0) {
+    GTEST_SKIP() << "allocation counting is off in this build";
+  }
+  EXPECT_LT(paper_allocs, 24.0);
+
+  Scenario lossy;  // perfbench lossy_sweep, at-least-once.
+  lossy.seed = 1;
+  lossy.num_messages = 4000;
+  lossy.message_size = 100;
+  lossy.network_delay = millis(100);
+  lossy.packet_loss = 0.19;
+  lossy.message_timeout = millis(2000);
+  lossy.request_timeout = millis(1200);
+  lossy.source_interval = micros(4000);
+  EXPECT_LT(allocs_per_message(lossy), 56.0);
+
+  Scenario group;  // perfbench group_replicated.
+  group.seed = 1;
+  group.num_messages = 2000;
+  group.semantics = kafka::DeliverySemantics::kExactlyOnce;
+  group.replication_factor = 3;
+  group.min_insync_replicas = 2;
+  group.partitions = 4;
+  group.partitioner = kafka::PartitionerKind::kKeyed;
+  group.group_size = 3;
+  group.group_strategy = kafka::AssignmentStrategy::kCooperativeSticky;
+  group.group_commit_mode = kafka::CommitMode::kCommitAfterDeliver;
+  group.source_mode = SourceMode::kOnDemand;
+  EXPECT_LT(allocs_per_message(group), 460.0);
+}
+
 TEST(Experiment, SeedChangesRun) {
   auto sc = small_scenario();
   sc.packet_loss = 0.15;

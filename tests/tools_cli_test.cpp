@@ -68,6 +68,18 @@ TEST(ToolsCli, BenchRejectsMalformedInvocations) {
   EXPECT_EQ(run_tool("ks_bench", "no_such_bench_filter"), 2);
 }
 
+// --repeat, --warmup and KS_BENCH_MESSAGES take whole numbers: atoi read
+// "3x" as 3, and strtoull read a KS_BENCH_MESSAGES of "5k" as 5.
+TEST(ToolsCli, BenchCountsMustBeWholeNumbers) {
+  EXPECT_EQ(run_tool("ks_bench", "--repeat 3 --list"), 0);
+  EXPECT_EQ(run_tool("ks_bench", "--repeat 3x --list"), 2);
+  EXPECT_EQ(run_tool("ks_bench", "--warmup 1x --list"), 2);
+  EXPECT_EQ(run_tool("ks_bench", "--repeat 99999999999 --list"), 2);
+  ::setenv("KS_BENCH_MESSAGES", "5k", 1);
+  EXPECT_EQ(run_tool("ks_bench", "--list"), 2);
+  ::unsetenv("KS_BENCH_MESSAGES");
+}
+
 TEST(ToolsCli, BenchDiffRejectsMalformedInvocations) {
   EXPECT_EQ(run_tool("ks_bench_diff", ""), 2);        // Needs two paths.
   EXPECT_EQ(run_tool("ks_bench_diff", "one"), 2);     // Needs two paths.
