@@ -198,6 +198,7 @@ Network Network::load(std::istream& in) {
   }
   std::size_t n_layers = 0;
   in >> n_layers;
+  if (!in) throw std::runtime_error("truncated network file");
   Network net;
   net.layers_.reserve(n_layers);
   for (std::size_t i = 0; i < n_layers; ++i) {

@@ -444,14 +444,21 @@ FetchResponse Broker::build_fetch_response(const FetchRequest& request,
     }
   }
 
+  // Count the records this response serves, then size it once.
+  const auto entries =
+      log.read(request.offset, static_cast<std::size_t>(request.max_records));
+  std::size_t count = 0;
   Bytes bytes = kFetchResponseOverhead;
-  for (const auto& e : log.read(request.offset,
-                                static_cast<std::size_t>(request.max_records))) {
+  for (const auto& e : entries) {
     if (e.offset >= visible_end) break;
     bytes += kRecordOverhead + e.value_size;
-    if (bytes > max_bytes && !response.records.empty()) {
+    if (bytes > max_bytes && count > 0) {
       break;  // fetch.max.bytes: the fetcher asks again from here.
     }
+    ++count;
+  }
+  response.records.reserve(count);
+  for (const auto& e : entries.first(count)) {
     response.records.push_back(FetchedRecord{e.offset, e.key, e.value_size,
                                              e.append_time, e.leader_epoch,
                                              e.producer_id, e.sequence});

@@ -251,8 +251,10 @@ bool Producer::send_batch(std::uint64_t batch_id) {
       tracer.child(sim_.now(), obs::SpanKind::kProduceAttempt,
                    obs::kTrackProducer, batch.span, batch.attempt + 1);
 
+  // Every attempt carries its batch's id: a response to any attempt
+  // resolves the batch.
   ProduceRequest req = batch.request;
-  req.id = next_request_id_;
+  req.id = batch_id;
   req.trace_span = attempt_span;
   for (auto& r : req.records) ++r.attempts;
   req.attempt = batch.attempt + 1;
@@ -272,13 +274,10 @@ bool Producer::send_batch(std::uint64_t batch_id) {
 
   const auto& sent = std::get<ProduceRequest>(frame->body);
   batch.request = sent;  // Keep the bumped attempt counts.
-  batch.attempt_ids.push_back(sent.id);
-  request_to_batch_.emplace(sent.id, batch_id);
   batch.sent_at = sim_.now();
   ++batch.attempt;
   batch.awaiting_retry = false;
   ++in_flight_count_;
-  ++next_request_id_;
   ++stats_.requests_sent;
   stats_.records_sent += sent.records.size();
   for (const auto& r : sent.records) {
@@ -381,7 +380,6 @@ void Producer::try_send() {
       auto done = batches_.find(batch_id);
       sim_.tracer().end(sim_.now(), done->second.attempt_span);
       sim_.tracer().end(sim_.now(), done->second.span);
-      for (auto id : done->second.attempt_ids) request_to_batch_.erase(id);
       batches_.erase(done);
     }
   }
@@ -396,29 +394,29 @@ void Producer::handle_frame(std::shared_ptr<const void> payload) {
 
 void Producer::handle_response(const ProduceResponse& response) {
   ++stats_.responses;
-  auto rit = request_to_batch_.find(response.request_id);
-  if (rit == request_to_batch_.end()) return;  // Batch already resolved.
+  const std::uint64_t batch_id = response.request_id;
+  if (!batches_.contains(batch_id)) return;  // Batch already resolved.
   switch (response.error) {
     case ErrorCode::kNone:
     case ErrorCode::kDuplicateSequence:  // Idempotent dedup == success.
-      resolve_batch(rit->second);
+      resolve_batch(batch_id);
       break;
     case ErrorCode::kNotLeaderForPartition:
       // Stale metadata: find the new leader, then retry the batch there
       // (sequence numbers are preserved, so this is duplicate-safe).
       ++stats_.not_leader_errors;
       maybe_failover();
-      retry_or_fail(rit->second);
+      retry_or_fail(batch_id);
       break;
     case ErrorCode::kNotEnoughReplicas:
       ++stats_.not_enough_replicas_errors;
-      retry_or_fail(rit->second);
+      retry_or_fail(batch_id);
       break;
     case ErrorCode::kOutOfOrderSequence:
-      handle_out_of_order(rit->second);
+      handle_out_of_order(batch_id);
       break;
     default:  // Other retriable errors.
-      retry_or_fail(rit->second);
+      retry_or_fail(batch_id);
       break;
   }
   try_send();
@@ -459,13 +457,15 @@ void Producer::resolve_batch(std::uint64_t batch_id) {
   if (!it->second.awaiting_retry) --in_flight_count_;
   sim_.tracer().end(sim_.now(), it->second.attempt_span);
   sim_.tracer().end(sim_.now(), it->second.span);
-  for (auto id : it->second.attempt_ids) request_to_batch_.erase(id);
   batches_.erase(it);
   // A stale entry may linger in retry_order_; try_send() skips it.
   resolve_records(n);
 }
 
 void Producer::scan_request_timeouts() {
+  // Hash order, not batch order: it decides which batch takes which
+  // next_retry_backoff jitter draw in retry_or_fail, so another container
+  // for batches_ would move the fates of lossy runs.
   std::vector<std::uint64_t> timed_out;
   for (const auto& [batch_id, batch] : batches_) {
     if (!batch.awaiting_retry &&
@@ -507,7 +507,6 @@ void Producer::retry_or_fail(std::uint64_t batch_id) {
     }
     const auto n = batch.request.records.size();
     sim_.tracer().end(sim_.now(), batch.span);
-    for (auto id : batch.attempt_ids) request_to_batch_.erase(id);
     batches_.erase(it);
     resolve_records(n);
     try_send();
@@ -593,6 +592,7 @@ void Producer::handle_reset(tcp::Endpoint* endpoint) {
   ++stats_.connection_resets;
   // acks=0: whatever sat in the socket is gone and we never know (the
   // at-most-once hazard). acks>=1: every in-flight batch gets retried.
+  // Hash order decides the jitter draws, as in scan_request_timeouts.
   std::vector<std::uint64_t> in_flight;
   for (const auto& [batch_id, batch] : batches_) {
     if (!batch.awaiting_retry) in_flight.push_back(batch_id);

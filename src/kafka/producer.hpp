@@ -162,7 +162,6 @@ class Producer {
   /// timeout/retry livelock under congestion.
   struct BatchState {
     ProduceRequest request;   ///< Current attempt's content.
-    std::vector<std::uint64_t> attempt_ids;
     TimePoint sent_at = 0;    ///< Last attempt's send time.
     int attempt = 0;          ///< Attempts sent so far.
     bool awaiting_retry = false;  ///< Queued for re-send (backoff).
@@ -185,7 +184,7 @@ class Producer {
   /// Queue a batch for retry, or fail its records when attempts/T_o are
   /// exhausted.
   void retry_or_fail(std::uint64_t batch_id);
-  /// Resolve a batch as acknowledged; `response_id` names the attempt.
+  /// Resolve a batch as acknowledged.
   void resolve_batch(std::uint64_t batch_id);
   bool send_batch(std::uint64_t batch_id);
   void expire_queue_front();
@@ -217,15 +216,13 @@ class Producer {
   std::uint64_t effective_producer_id_;
 
   std::deque<Record> queue_;            ///< The record accumulator.
-  /// Unacknowledged batches by batch id (in flight or awaiting retry).
+  /// Unacknowledged batches by batch id (in flight or awaiting retry); a
+  /// produce request's id is its batch id.
   std::unordered_map<std::uint64_t, BatchState> batches_;
-  /// Request id (per attempt) -> batch id, for response correlation.
-  std::unordered_map<std::uint64_t, std::uint64_t> request_to_batch_;
   /// Batches awaiting their retry backoff, in retry order.
   std::deque<std::uint64_t> retry_order_;
   /// Batches sent and not yet timed out / resolved / queued for retry.
   std::size_t in_flight_count_ = 0;
-  std::uint64_t next_request_id_ = 1;
   std::uint64_t next_batch_id_ = 1;
   std::int64_t next_sequence_ = 0;      ///< Idempotent producer sequence.
   std::uint64_t unresolved_ = 0;        ///< Pulled but not yet resolved.

@@ -52,15 +52,16 @@ Duration StorageDevice::flush_cost(Bytes dirty, TimePoint now) const {
 }
 
 std::uint32_t SegmentedLog::content_crc(const StoredBatch& batch) {
-  // Serialize the logical batch content (header + per-record fields) into
-  // a byte stream and checksum it — the analogue of Kafka's record-batch
-  // CRC over the batch body.
-  std::vector<std::uint8_t> buf;
-  buf.reserve(16 + batch.records.size() * 56);
-  const auto put64 = [&buf](std::uint64_t v) {
+  // Checksum the logical batch content (header + per-record fields) as a
+  // stream of little-endian words, fed in turn — the analogue of Kafka's
+  // record-batch CRC over the batch body.
+  std::uint32_t crc = 0;
+  const auto put64 = [&crc](std::uint64_t v) {
+    std::uint8_t le[8];
     for (int i = 0; i < 8; ++i) {
-      buf.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFFu));
+      le[i] = static_cast<std::uint8_t>((v >> (8 * i)) & 0xFFu);
     }
+    crc = crc32c(le, sizeof le, crc);
   };
   put64(static_cast<std::uint64_t>(batch.base_offset));
   put64(static_cast<std::uint64_t>(batch.records.size()));
@@ -73,7 +74,7 @@ std::uint32_t SegmentedLog::content_crc(const StoredBatch& batch) {
     put64(r.producer_id);
     put64(static_cast<std::uint64_t>(r.sequence));
   }
-  return crc32c(buf.data(), buf.size());
+  return crc;
 }
 
 SegmentedLog::Segment& SegmentedLog::writable_segment() {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
+#include <memory>
 
 #include "ann/network.hpp"
 
@@ -158,17 +160,28 @@ testbed::AdaptiveFactory online_adaptive_factory(
   };
 }
 
+ReliabilityPredictor train_synthetic_predictor() {
+  ReliabilityPredictor p;
+  ann::TrainConfig tc;
+  tc.epochs = 150;
+  tc.learning_rate = 0.5;
+  tc.batch_size = 16;
+  Rng rng(42);
+  p.train(synthetic_normal_dataset(), synthetic_abnormal_dataset(), tc, rng);
+  return p;
+}
+
 const ReliabilityPredictor& synthetic_predictor() {
   static const ReliabilityPredictor* instance = [] {
-    auto* p = new ReliabilityPredictor();
-    ann::TrainConfig tc;
-    tc.epochs = 150;
-    tc.learning_rate = 0.5;
-    tc.batch_size = 16;
-    Rng rng(42);
-    p->train(synthetic_normal_dataset(), synthetic_abnormal_dataset(), tc,
-             rng);
-    return p;
+    const char* dir = std::getenv(kSyntheticPredictorDirEnv);
+    if (dir == nullptr) {
+      return new ReliabilityPredictor(train_synthetic_predictor());
+    }
+    // load() throws on a missing or unreadable model, and so does every
+    // later call: a bad copy never falls back to training.
+    auto p = std::make_unique<ReliabilityPredictor>();
+    p->load(dir);
+    return p.release();
   }();
   return *instance;
 }

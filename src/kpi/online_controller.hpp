@@ -72,10 +72,20 @@ testbed::AdaptiveFactory online_adaptive_factory(
 ann::Dataset synthetic_normal_dataset();
 ann::Dataset synthetic_abnormal_dataset();
 
-/// A process-lifetime predictor trained once, on first use, on the
-/// synthetic datasets (150 epochs, Rng(42)); deterministic backing for
-/// chaos scenarios and tests that need a trained predictor without a
-/// collection run.
+/// A predictor trained on the synthetic datasets (150 epochs, Rng(42)).
+ReliabilityPredictor train_synthetic_predictor();
+
+/// Names a directory holding train_synthetic_predictor()'s model as
+/// ReliabilityPredictor::save wrote it. The test build sets it so that one
+/// training serves every test process.
+inline constexpr char kSyntheticPredictorDirEnv[] =
+    "KS_SYNTHETIC_PREDICTOR_DIR";
+
+/// A process-lifetime copy of train_synthetic_predictor(), made on first
+/// use: loaded from kSyntheticPredictorDirEnv's directory when that is set
+/// (a missing or unreadable model throws, there and on every later call),
+/// trained otherwise; deterministic backing for chaos scenarios and tests
+/// that need a trained predictor without a collection run.
 const ReliabilityPredictor& synthetic_predictor();
 
 /// online_adaptive_factory() over synthetic_predictor() with default

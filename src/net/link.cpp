@@ -56,35 +56,58 @@ bool Link::send(Packet packet) {
   queued_bytes_ += packet.size;
   stats_.busy_time += trans;
 
-  sim_.at(done, [this, packet = std::move(packet)]() mutable {
-    queued_bytes_ -= packet.size;
-    deliver_after_wire(std::move(packet), /*duplicate_pass=*/false);
+  const std::uint32_t slot = park(std::move(packet));
+  sim_.at(done, [this, slot] {
+    queued_bytes_ -= in_flight_[slot].size;
+    deliver_after_wire(slot, /*duplicate_pass=*/false);
   });
   return true;
 }
 
-void Link::deliver_after_wire(Packet packet, bool duplicate_pass) {
+void Link::deliver_after_wire(std::uint32_t slot, bool duplicate_pass) {
   // NetEm-style duplication: the duplicate is a distinct wire event and is
   // itself subject to loss and independent delay.
   if (!duplicate_pass && config_.duplicate_probability > 0.0 &&
       rng_.bernoulli(config_.duplicate_probability)) {
     ++stats_.packets_duplicated;
-    Packet copy = packet;
-    sim_.after(0, [this, copy = std::move(copy)]() mutable {
-      deliver_after_wire(std::move(copy), /*duplicate_pass=*/true);
+    const std::uint32_t copy_slot = park(in_flight_[slot]);
+    sim_.after(0, [this, copy_slot] {
+      deliver_after_wire(copy_slot, /*duplicate_pass=*/true);
     });
   }
 
   if (loss_->drop(sim_.now(), rng_)) {
     ++stats_.packets_lost;
+    unpark(slot);
     return;
   }
   const Duration prop = delay_->sample(sim_.now(), rng_);
-  sim_.after(prop, [this, packet = std::move(packet)]() mutable {
+  sim_.after(prop, [this, slot] {
+    // Free the slot first: the receiver may send on this link.
+    Packet packet = unpark(slot);
     ++stats_.packets_delivered;
     stats_.bytes_delivered += packet.size;
     if (receiver_) receiver_(std::move(packet));
   });
+}
+
+std::uint32_t Link::park(Packet packet) {
+  if (free_slots_.empty()) {
+    in_flight_.push_back(std::move(packet));
+    // Every slot may be free at once: size the free list with the table.
+    free_slots_.reserve(in_flight_.capacity());
+    return static_cast<std::uint32_t>(in_flight_.size() - 1);
+  }
+  const std::uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  in_flight_[slot] = std::move(packet);
+  return slot;
+}
+
+Packet Link::unpark(std::uint32_t slot) {
+  Packet packet = std::move(in_flight_[slot]);
+  free_slots_.push_back(slot);
+  return packet;
 }
 
 double Link::utilization() const noexcept {

@@ -5,9 +5,11 @@
 // the delay/loss models at runtime (see NetEm).
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
@@ -41,7 +43,8 @@ class Link {
   Link(sim::Simulation& sim, Config config, std::shared_ptr<DelayModel> delay,
        std::shared_ptr<LossModel> loss, std::string name = "link");
 
-  /// The downstream packet sink. Must be set before the first send.
+  /// The downstream packet sink. Must be set before the first send. It
+  /// may send on this link again.
   void set_receiver(std::function<void(Packet)> receiver) {
     receiver_ = std::move(receiver);
   }
@@ -73,7 +76,12 @@ class Link {
   double utilization() const noexcept;
 
  private:
-  void deliver_after_wire(Packet packet, bool duplicate_pass);
+  void deliver_after_wire(std::uint32_t slot, bool duplicate_pass);
+  /// Hold `packet` until its delivery or loss; its two events name the
+  /// slot, so they stay small enough for sim::Callback's inline buffer.
+  std::uint32_t park(Packet packet);
+  /// Move the packet out of `slot` and free the slot.
+  Packet unpark(std::uint32_t slot);
 
   sim::Simulation& sim_;
   Config config_;
@@ -85,6 +93,8 @@ class Link {
   TimePoint next_free_ = 0;   ///< When the transmitter becomes idle.
   Bytes queued_bytes_ = 0;
   std::uint64_t next_packet_id_ = 1;
+  std::vector<Packet> in_flight_;      ///< Packets on the wire, by slot.
+  std::vector<std::uint32_t> free_slots_;
   Stats stats_;
 
   // ---- observability (drops split by cause at registration time) ----

@@ -142,40 +142,48 @@ void Endpoint::on_persist() {
   if (state_ != State::kEstablished) return;
   if (peer_wnd_ > 0 || snd_nxt_ >= stream_end_) return;
   // Probe: header-only segment the receiver must answer with a window ack.
-  auto seg = std::make_shared<Segment>();
-  seg->flags = kFlagAck | kFlagProbe;
-  seg->epoch = epoch_;
-  seg->seq = snd_nxt_;
-  seg->ack = rcv_nxt_;
-  seg->wnd = advertised_window();
+  Segment seg;
+  seg.flags = kFlagAck | kFlagProbe;
+  seg.epoch = epoch_;
+  seg.seq = snd_nxt_;
+  seg.ack = rcv_nxt_;
+  seg.wnd = advertised_window();
+  transmit(seg, nullptr);
+  arm_persist();
+}
+
+void Endpoint::transmit(const Segment& seg,
+                        std::shared_ptr<const void> payload) {
   ++stats_.segments_sent;
   net::Packet packet;
-  packet.size = config_.header_overhead;
-  packet.payload = std::move(seg);
+  packet.size = config_.header_overhead + seg.len;
+  packet.payload = std::move(payload);
+  packet.set_header(seg);
   tx_.send(std::move(packet));
-  arm_persist();
 }
 
 void Endpoint::send_segment(StreamOffset seq, Bytes len,
                             bool is_retransmission) {
-  auto seg = std::make_shared<Segment>();
-  seg->flags = kFlagAck;
-  seg->epoch = epoch_;
-  seg->seq = seq;
-  seg->len = len;
-  seg->ack = rcv_nxt_;
-  seg->wnd = advertised_window();
-  last_advertised_wnd_ = seg->wnd;
-  fill_sack_blocks(*seg);
+  Segment seg;
+  seg.flags = kFlagAck;
+  seg.epoch = epoch_;
+  seg.seq = seq;
+  seg.len = len;
+  seg.ack = rcv_nxt_;
+  seg.wnd = advertised_window();
+  last_advertised_wnd_ = seg.wnd;
+  fill_sack_blocks(seg);
   // Segments are cut at message boundaries, so a message ending inside
   // (seq, seq + len] ends exactly at seq + len.
+  std::shared_ptr<const void> payload;
   const auto* m = out_msgs_.first_ending_after(seq);
   if (m != nullptr && m->end <= seq + len) {
     assert(m->end == seq + len);
-    seg->message_end = MessageEnd{m->payload, m->flight_span};
+    seg.flags |= kFlagMessageEnd;
+    seg.flight_span = m->flight_span;
+    payload = m->payload;
   }
 
-  ++stats_.segments_sent;
   ++stats_.data_segments_sent;
   avg_segment_bytes_ =
       0.875 * avg_segment_bytes_ +
@@ -194,10 +202,7 @@ void Endpoint::send_segment(StreamOffset seq, Bytes len,
     rtt_sample_retransmitted_ = false;
   }
 
-  net::Packet packet;
-  packet.size = config_.header_overhead + len;
-  packet.payload = std::move(seg);
-  tx_.send(std::move(packet));
+  transmit(seg, std::move(payload));
 
   if (!rto_timer_.armed()) arm_rto();
 }
@@ -333,15 +338,15 @@ void Endpoint::enter_reset() {
 // Receiver
 // ---------------------------------------------------------------------------
 
-void Endpoint::handle_data(const Segment& seg) {
+void Endpoint::handle_data(const Segment& seg,
+                           const std::shared_ptr<const void>& payload) {
   const StreamOffset start = seg.seq;
   const StreamOffset end = seg.seq + seg.len;
 
   // Stash message metadata; duplicates from retransmissions are no-ops and
   // anything at or below the delivery watermark was already handed up.
-  if (seg.message_end && end > last_delivered_end_) {
-    in_msgs_.insert(StreamMessage{end, seg.message_end->payload,
-                                  seg.message_end->flight_span});
+  if (seg.has(kFlagMessageEnd) && end > last_delivered_end_) {
+    in_msgs_.insert(StreamMessage{end, payload, seg.flight_span});
   }
 
   if (end > rcv_nxt_) {
@@ -412,36 +417,25 @@ void Endpoint::fill_sack_blocks(Segment& seg) const {
 }
 
 void Endpoint::send_pure_ack() {
-  auto seg = std::make_shared<Segment>();
-  seg->flags = kFlagAck;
-  seg->epoch = epoch_;
-  seg->seq = snd_nxt_;
-  seg->len = 0;
-  seg->ack = rcv_nxt_;
-  seg->wnd = advertised_window();
-  last_advertised_wnd_ = seg->wnd;
-  fill_sack_blocks(*seg);
-  ++stats_.segments_sent;
+  Segment seg;
+  seg.flags = kFlagAck;
+  seg.epoch = epoch_;
+  seg.seq = snd_nxt_;
+  seg.ack = rcv_nxt_;
+  seg.wnd = advertised_window();
+  last_advertised_wnd_ = seg.wnd;
+  fill_sack_blocks(seg);
   ++stats_.pure_acks_sent;
-
-  net::Packet packet;
-  packet.size = config_.header_overhead;
-  packet.payload = std::move(seg);
-  tx_.send(std::move(packet));
+  transmit(seg, nullptr);
 }
 
 void Endpoint::send_control(std::uint32_t flags) {
-  auto seg = std::make_shared<Segment>();
-  seg->flags = flags;
-  seg->epoch = epoch_;
-  seg->ack = rcv_nxt_;
-  seg->wnd = advertised_window();
-  ++stats_.segments_sent;
-
-  net::Packet packet;
-  packet.size = config_.header_overhead;
-  packet.payload = std::move(seg);
-  tx_.send(std::move(packet));
+  Segment seg;
+  seg.flags = flags;
+  seg.epoch = epoch_;
+  seg.ack = rcv_nxt_;
+  seg.wnd = advertised_window();
+  transmit(seg, nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -470,28 +464,27 @@ void Endpoint::on_syn_timeout() {
 
 void Endpoint::handle_packet(const net::Packet& packet) {
   obs::ProfScope prof(obs::ProfKey::kTcpSegment);
-  const auto* seg = packet.as<Segment>();
-  assert(seg != nullptr);
+  const auto seg = packet.header_as<Segment>();
 
-  if (seg->has(kFlagSyn)) {
+  if (seg.has(kFlagSyn)) {
     // Server side. A SYN with a newer epoch reincarnates the connection; a
     // SYN for the current epoch means our SYN-ACK was lost — resend it.
     if (state_ == State::kListen ||
-        (seg->epoch > epoch_ &&
+        (seg.epoch > epoch_ &&
          (state_ == State::kEstablished || state_ == State::kDead))) {
-      epoch_ = seg->epoch;
+      epoch_ = seg.epoch;
       fresh_epoch_state();
       state_ = State::kEstablished;
       send_control(kFlagSynAck);
       if (on_connected) on_connected();
-    } else if (seg->epoch == epoch_ && state_ == State::kEstablished) {
+    } else if (seg.epoch == epoch_ && state_ == State::kEstablished) {
       send_control(kFlagSynAck);
     }
     return;
   }
 
-  if (seg->has(kFlagSynAck)) {
-    if (state_ == State::kSynSent && seg->epoch == epoch_) {
+  if (seg.has(kFlagSynAck)) {
+    if (state_ == State::kSynSent && seg.epoch == epoch_) {
       state_ = State::kEstablished;
       syn_timer_.cancel();
       if (on_connected) on_connected();
@@ -500,25 +493,25 @@ void Endpoint::handle_packet(const net::Packet& packet) {
     return;
   }
 
-  if (seg->has(kFlagRst)) {
-    if (seg->epoch >= epoch_ && state_ == State::kEstablished) enter_reset();
+  if (seg.has(kFlagRst)) {
+    if (seg.epoch >= epoch_ && state_ == State::kEstablished) enter_reset();
     return;
   }
 
-  if (state_ != State::kEstablished || seg->epoch != epoch_) return;
+  if (state_ != State::kEstablished || seg.epoch != epoch_) return;
 
-  peer_wnd_ = seg->wnd;
+  peer_wnd_ = seg.wnd;
   if (peer_wnd_ > 0) persist_timer_.cancel();
 
-  if (seg->has(kFlagProbe)) {
+  if (seg.has(kFlagProbe)) {
     send_pure_ack();  // Report the current window to the prober.
     return;
   }
 
-  handle_sack(*seg);
-  handle_ack(seg->ack);
-  if (seg->len > 0) {
-    handle_data(*seg);
+  handle_sack(seg);
+  handle_ack(seg.ack);
+  if (seg.len > 0) {
+    handle_data(seg, packet.payload);
   } else if (peer_wnd_ > 0) {
     maybe_send();  // A window update may unblock pending data.
   }

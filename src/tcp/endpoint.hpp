@@ -155,6 +155,8 @@ class Endpoint {
   // Sender internals.
   void maybe_send();
   void send_segment(StreamOffset seq, Bytes len, bool is_retransmission);
+  /// Put `seg` on the wire as its packet's header, `payload` beside it.
+  void transmit(const Segment& seg, std::shared_ptr<const void> payload);
   void retransmit_lost();
   void arm_persist();
   void on_persist();
@@ -167,7 +169,8 @@ class Endpoint {
   void enter_reset();
 
   // Receiver internals.
-  void handle_data(const Segment& seg);
+  void handle_data(const Segment& seg,
+                   const std::shared_ptr<const void>& payload);
   void deliver_ready_messages();
   void send_pure_ack();
   Bytes advertised_window() const noexcept;

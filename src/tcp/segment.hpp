@@ -5,17 +5,16 @@
 // the range, so the receiver can reassemble app messages in order without
 // simulating actual payload bytes.
 //
-// A segment is a fixed-size value: its SACK blocks ride inline, and since
-// the sender cuts segments at message boundaries at most one message ends
-// in each, at the segment's last byte. So a segment costs one allocation,
-// its own shared block, and nothing beside it.
+// A segment is a fixed-size, trivially copyable value that rides inside
+// its net::Packet as the packet's header: its SACK blocks are inline, and
+// since the sender cuts segments at message boundaries at most one message
+// ends in each, at the segment's last byte; that message's payload is the
+// packet's payload. So a segment costs no allocation.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <optional>
 #include <span>
 
 #include "common/types.hpp"
@@ -31,6 +30,9 @@ enum SegmentFlags : std::uint32_t {
   kFlagAck = 1u << 2,
   kFlagRst = 1u << 3,
   kFlagProbe = 1u << 4,  ///< Zero-window probe; receiver must ack.
+  /// An app message ends at seq + len: the packet's payload is that
+  /// message's, delivered to the peer once the stream is contiguous there.
+  kFlagMessageEnd = 1u << 5,
 };
 
 /// A received-but-not-contiguous [start, end) byte range.
@@ -42,16 +44,6 @@ struct SackBlock {
 /// SACK blocks per segment, like the real TCP option.
 inline constexpr std::size_t kMaxSackBlocks = 4;
 
-/// The app message whose final byte is the segment's final byte: the opaque
-/// app payload delivered to the peer when the stream is contiguous up to
-/// seq + len.
-struct MessageEnd {
-  std::shared_ptr<const void> payload;
-  /// Open tcp.flight span for this message (0 = untraced); the receiver
-  /// closes it when the message reassembles.
-  std::uint64_t flight_span = 0;
-};
-
 struct Segment {
   std::uint32_t flags = 0;
   std::uint64_t epoch = 0;     ///< Connection incarnation.
@@ -61,7 +53,9 @@ struct Segment {
   Bytes wnd = 0;               ///< Advertised receive window, bytes.
   std::array<SackBlock, kMaxSackBlocks> sack{};
   std::size_t sack_count = 0;  ///< Blocks in use, lowest range first.
-  std::optional<MessageEnd> message_end;
+  /// With kFlagMessageEnd: the ending message's open tcp.flight span
+  /// (0 = untraced); the receiver closes it when the message reassembles.
+  std::uint64_t flight_span = 0;
 
   bool has(SegmentFlags f) const noexcept { return (flags & f) != 0; }
   std::span<const SackBlock> sack_blocks() const noexcept {

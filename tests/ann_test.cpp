@@ -302,6 +302,9 @@ TEST(Network, SaveLoadExactPredictions) {
 TEST(Network, LoadRejectsGarbage) {
   std::stringstream ss("not a network");
   EXPECT_THROW(Network::load(ss), std::runtime_error);
+  // A header with no layer count is truncated, not an empty network.
+  std::stringstream header_only("ksann v1\n");
+  EXPECT_THROW(Network::load(header_only), std::runtime_error);
 }
 
 TEST(Network, MomentumTrainsToo) {

@@ -1,6 +1,10 @@
 // Unit tests for net/: loss models, delay models, links, NetEm, traces.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -9,6 +13,7 @@
 #include "net/loss_model.hpp"
 #include "net/netem.hpp"
 #include "net/trace.hpp"
+#include "obs/profiler.hpp"
 #include "sim/simulation.hpp"
 
 namespace ks::net {
@@ -215,6 +220,89 @@ TEST_F(LinkTest, DuplicationProbability) {
   sim_.run();
   EXPECT_EQ(received, 2);
   EXPECT_EQ(link.stats().packets_duplicated, 1u);
+}
+
+// A header as large as a packet holds, derived from the packet's id.
+struct WideHeader {
+  std::array<std::uint64_t, kHeaderBytes / 8> words;
+};
+
+WideHeader header_for(std::uint64_t id) {
+  WideHeader h{};
+  for (std::size_t i = 0; i < h.words.size(); ++i) {
+    h.words[i] = id * 0x9E3779B97F4A7C15ull + i;
+  }
+  return h;
+}
+
+// A warm link under loss, jitter and duplication hands each packet over
+// with the header and payload it was sent with, delivers no id more often
+// than once plus its duplicates, and allocates nothing per packet: the
+// packets wait in the link's slot table, not in heap-held event captures.
+TEST_F(LinkTest, WarmLinkKeepsHeadersAndAllocatesNothingPerPacket) {
+  Link link(sim_, {.bandwidth_bps = 100e6, .duplicate_probability = 0.1},
+            std::make_shared<UniformDelay>(millis(20), millis(15)),
+            std::make_shared<BernoulliLoss>(0.1));
+  constexpr std::uint64_t kWarm = 5000, kPackets = 15000;
+  const auto setup = obs::profiler().snapshot();
+  std::vector<std::shared_ptr<const std::uint64_t>> payloads;
+  for (std::uint64_t id = 1; id <= kPackets; ++id) {
+    payloads.push_back(std::make_shared<const std::uint64_t>(id));
+  }
+  const bool counting =
+      obs::profiler().snapshot().since(setup).alloc_count > 0;
+  std::vector<int> arrivals(kPackets + 1, 0);
+  std::uint64_t mismatched = 0, reordered = 0, highest = 0;
+  link.set_receiver([&](Packet p) {
+    ASSERT_GE(p.id, 1u);
+    ASSERT_LE(p.id, kPackets);
+    const auto h = p.header_as<WideHeader>();
+    if (h.words != header_for(p.id).words ||
+        p.payload != payloads[p.id - 1]) {
+      ++mismatched;
+    }
+    if (p.id < highest) ++reordered;
+    highest = std::max(highest, p.id);
+    ++arrivals[p.id];
+  });
+  std::uint64_t sent = 0;
+  std::function<void()> send_next = [&] {
+    Packet p;
+    p.size = 200;
+    p.payload = payloads[sent];
+    p.set_header(header_for(++sent));  // Ids count from 1 per link.
+    link.send(std::move(p));
+    if (sent < kPackets) sim_.after(micros(100), [&] { send_next(); });
+  };
+  sim_.after(0, [&] { send_next(); });
+  while (sent < kWarm) sim_.step();  // Slots and event queue grow here.
+
+  const auto start = obs::profiler().snapshot();
+  while (sent < kPackets) sim_.step();
+  const auto allocs = obs::profiler().snapshot().since(start).alloc_count;
+  sim_.run();
+
+  const auto& st = link.stats();
+  EXPECT_EQ(sent, kPackets);
+  EXPECT_EQ(st.packets_offered, kPackets);
+  EXPECT_EQ(mismatched, 0u);
+  EXPECT_GT(st.packets_lost, 0u);
+  EXPECT_GT(st.packets_duplicated, 0u);
+  EXPECT_GT(reordered, 0u);
+  std::uint64_t delivered = 0, repeats = 0;
+  for (std::uint64_t id = 1; id <= kPackets; ++id) {
+    const auto n = static_cast<std::uint64_t>(arrivals[id]);
+    EXPECT_LE(n, 2u) << "id " << id;
+    delivered += n;
+    if (n > 1) repeats += n - 1;
+  }
+  EXPECT_EQ(delivered, st.packets_delivered);
+  EXPECT_LE(repeats, st.packets_duplicated);
+  EXPECT_EQ(st.packets_delivered + st.packets_lost + st.packets_dropped_queue,
+            st.packets_offered + st.packets_duplicated);
+  if (!counting) GTEST_SKIP() << "allocation counting is off in this build";
+  EXPECT_EQ(allocs, 0u) << allocs << " allocations for "
+                        << kPackets - kWarm << " packets";
 }
 
 TEST_F(LinkTest, UtilizationTracksBusyTime) {

@@ -48,10 +48,10 @@ int expect_exactly_once_in_order(double loss, Duration delay, Duration jitter,
   int reordered = 0;
   StreamOffset highest = 0;
   link.a_to_b.set_receiver([&](net::Packet p) {
-    const auto* seg = p.as<Segment>();
-    if (seg->len > 0) {
-      if (seg->seq + seg->len < highest) ++reordered;
-      highest = std::max(highest, seg->seq + seg->len);
+    const auto seg = p.header_as<Segment>();
+    if (seg.len > 0) {
+      if (seg.seq + seg.len < highest) ++reordered;
+      highest = std::max(highest, seg.seq + seg.len);
     }
     pair.server.handle_packet(p);
   });
